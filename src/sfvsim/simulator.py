@@ -14,7 +14,7 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .adversary import (
     ReplayProfile,
@@ -43,6 +43,8 @@ class QueueModel:
     service_rate_kbps: float = 1200.0
 
     def __post_init__(self):
+        if not math.isfinite(self.service_rate_kbps):
+            raise ValueError(f"service rate must be finite: {self.service_rate_kbps}")
         if self.capacity < 1:
             raise ValueError(f"queue capacity must be at least 1: {self.capacity}")
         if self.service_rate_kbps <= 0:
@@ -95,6 +97,11 @@ class Scenario:
     def __post_init__(self):
         if self.sfv_mode == "sfv-with-ranging":
             object.__setattr__(self, "sfv_mode", "sfv-ranging")
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
+                raise ValueError(f"{spec.name} must be finite: {value}")
         if self.terrain[0] <= 0 or self.terrain[1] <= 0:
             raise ValueError(f"terrain must be positive: {self.terrain}")
         if self.cluster_size[0] <= 0 or self.cluster_size[1] <= 0:
@@ -307,11 +314,15 @@ class _Engine:
     event times.  All randomness flows from per-subsystem child streams of
     the master seed, drawn in a fixed order, so equal seeds replay equal
     runs and mobility never depends on mode or traffic settings.
+
+    Kinematics live only in flat per-node lists (x, y, vx, vy, waypoint,
+    pause); a NodeProfile is built from them on demand, for a handshake or
+    for a node that starts a new leg or is pausing.
     """
 
     def __init__(self, scenario: Scenario, duration_s: float):
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive: {duration_s}")
+        if not (math.isfinite(duration_s) and duration_s > 0):
+            raise ValueError(f"duration must be positive and finite: {duration_s}")
         self.sc = scenario
         self.duration = float(duration_s)
         root = random.Random(scenario.master_seed)
@@ -337,7 +348,6 @@ class _Engine:
         )
         self.epoch_every = max(1, round(scenario.discovery_interval_s / scenario.mobility_step_s))
 
-        self.verified_pairs: set = set()
         self._build_population()
         self._build_flows()
         self._prime_events()
@@ -350,7 +360,11 @@ class _Engine:
         self.honest_ids = self._draw_distinct_ids(sc.n_ids, taken=set())
         honest_values = {i.value for i in self.honest_ids}
 
-        self.nodes: list[NodeProfile] = []
+        self.node_id: list[str] = []
+        self.node_role: list[str] = []
+        self.node_pool: list[IdPool] = []
+        self.x: list[float] = []
+        self.y: list[float] = []
         self.node_cluster: list[int] = []
         self.node_rect: list[tuple] = []
         self.attacker_kinds: dict[int, str] = {}
@@ -369,17 +383,15 @@ class _Engine:
                 if per_cluster_attackers else []
             )
             for i in range(sc.nodes_per_cluster):
-                index = len(self.nodes)
-                position = (
-                    self.layout_rng.uniform(rect[0], rect[2]),
-                    self.layout_rng.uniform(rect[1], rect[3]),
-                )
+                index = len(self.node_id)
+                node_id = f"c{c}-n{i}"
+                self.x.append(self.layout_rng.uniform(rect[0], rect[2]))
+                self.y.append(self.layout_rng.uniform(rect[1], rect[3]))
                 if i in attacker_slots:
                     kind = self._attacker_kind(index)
                     role = "wormhole-endpoint" if kind == "wormhole" else "sybil"
                     claimed = self._draw_distinct_ids(sc.n_ids, taken)
                     pool = IdPool(list(claimed))
-                    node_id = f"c{c}-n{i}"
                     self.attacker_kinds[index] = kind
                     if kind == "sybil" or kind == "replay":
                         self.sybil_sets[index] = SybilIdentitySet(list(claimed), victim=node_id)
@@ -388,14 +400,18 @@ class _Engine:
                 else:
                     role = "honest"
                     pool = IdPool(list(self.honest_ids))
-                    node_id = f"c{c}-n{i}"
                     self.honest_by_cluster[c].append(index)
-                self.nodes.append(NodeProfile(
-                    node_id=node_id, position=position, velocity=(0.0, 0.0),
-                    role=role, pool=pool,
-                ))
+                self.node_id.append(node_id)
+                self.node_role.append(role)
+                self.node_pool.append(pool)
                 self.node_cluster.append(c)
                 self.node_rect.append(rect)
+
+        count = len(self.node_id)
+        self.vx: list[float] = [0.0] * count
+        self.vy: list[float] = [0.0] * count
+        self.waypoint: list[tuple[float, float] | None] = [None] * count
+        self.pause: list[float] = [0.0] * count
 
         # Wormhole endpoints pair up in discovery order; an unpaired
         # leftover falls back to sybil behavior.
@@ -407,9 +423,21 @@ class _Engine:
             self.attacker_kinds[leftover] = "sybil"
             claimed = self._draw_distinct_ids(sc.n_ids, taken)
             self.sybil_sets[leftover] = SybilIdentitySet(
-                list(claimed), victim=self.nodes[leftover].node_id)
+                list(claimed), victim=self.node_id[leftover])
 
-        self.pair_pools: dict[frozenset, dict[int, IdPool]] = {}
+        self.pair_pools: dict[tuple[int, int], tuple[IdPool, IdPool]] = {}
+
+        # Each honest verifier's not yet verified in-cluster peers in scan
+        # order: honest peers, then attackers, each in index order.  A pair
+        # leaves both lists once verified; an empty list retires its
+        # verifier for good, since the verified set only grows.
+        self.unverified: dict[int, list[int]] = {}
+        if sc.neighbor_verification:
+            for c, honest in enumerate(self.honest_by_cluster):
+                order = honest + [a for a in sorted(self.attacker_kinds)
+                                  if self.node_cluster[a] == c]
+                for index in honest:
+                    self.unverified[index] = [peer for peer in order if peer != index]
 
     def _attacker_kind(self, index: int) -> str:
         sc = self.sc
@@ -459,22 +487,29 @@ class _Engine:
         heapq.heappush(self.heap, (time, self.seq, kind, payload))
 
     def _distance(self, a: int, b: int) -> float:
-        ax, ay = self.nodes[a].position
-        bx, by = self.nodes[b].position
-        return math.hypot(bx - ax, by - ay)
+        x, y = self.x, self.y
+        return math.hypot(x[b] - x[a], y[b] - y[a])
 
     def _bearing(self, a: int, b: int) -> float:
-        ax, ay = self.nodes[a].position
-        bx, by = self.nodes[b].position
-        return math.degrees(math.atan2(by - ay, bx - ax)) % 360.0
+        x, y = self.x, self.y
+        return math.degrees(math.atan2(y[b] - y[a], x[b] - x[a])) % 360.0
+
+    def _profile(self, i: int, pool: IdPool | None = None) -> NodeProfile:
+        """Node i as a NodeProfile, carrying its own pool unless one is given."""
+        return NodeProfile(
+            node_id=self.node_id[i], position=(self.x[i], self.y[i]),
+            velocity=(self.vx[i], self.vy[i]), role=self.node_role[i],
+            pool=self.node_pool[i] if pool is None else pool,
+            waypoint=self.waypoint[i], pause_remaining=self.pause[i],
+        )
 
     def _pair_pools(self, a: int, b: int) -> tuple[IdPool, IdPool]:
-        key = frozenset((a, b))
+        key = (a, b) if a < b else (b, a)
         pools = self.pair_pools.get(key)
         if pools is None:
-            pools = {a: IdPool(list(self.honest_ids)), b: IdPool(list(self.honest_ids))}
+            pools = (IdPool(list(self.honest_ids)), IdPool(list(self.honest_ids)))
             self.pair_pools[key] = pools
-        return pools[a], pools[b]
+        return pools if a < b else (pools[1], pools[0])
 
     def _evidence(self, a: int, b: int, d_max: float):
         sc = self.sc
@@ -496,7 +531,7 @@ class _Engine:
 
     def _record_verdict(self, node_index: int, friendly: bool) -> None:
         cluster = self.node_cluster[node_index]
-        node_id = self.nodes[node_index].node_id
+        node_id = self.node_id[node_index]
         if friendly:
             self.run.friendly_nodes[cluster].add(node_id)
         else:
@@ -555,12 +590,10 @@ class _Engine:
         self._dispatch(cluster)
 
     def _finish_handshake(self, flow: _Flow, evidence, selected: float) -> None:
-        initiator = self.nodes[flow.src]
-        responder = self.nodes[flow.dst]
         pool_a, pool_b = self._pair_pools(flow.src, flow.dst)
         verdict = run_handshake(
-            replace(initiator, pool=pool_a),
-            replace(responder, pool=pool_b),
+            self._profile(flow.src, pool_a),
+            self._profile(flow.dst, pool_b),
             evidence,
             self.sc.handshake,
             self.payload_rng,
@@ -574,13 +607,8 @@ class _Engine:
 
     def _handle_mob(self, step_index: int) -> None:
         sc = self.sc
-        nodes = self.nodes
         if step_index > 0:  # step 0 only runs discovery on the laid-out positions
-            for i in range(len(nodes)):
-                nodes[i] = step_mobility(
-                    nodes[i], sc.mobility_step_s, self.node_rect[i],
-                    sc.node_speed, self.mobility_rng, sc.pause_s,
-                )
+            self._step_nodes()
         epoch = step_index % self.epoch_every == 0
         for flow in self.flows:
             distance = self._distance(flow.src, flow.dst)
@@ -596,6 +624,48 @@ class _Engine:
         next_time = (step_index + 1) * sc.mobility_step_s
         if next_time <= self.duration:
             self._push(next_time, "mob", step_index + 1)
+
+    def _step_nodes(self) -> None:
+        """Advance every node by one mobility step.
+
+        A node in mid-leg moves inline with exactly step_mobility's
+        arithmetic, speed re-derived from the velocity included, so runs
+        stay byte-identical.  A node between legs or pausing goes through
+        step_mobility itself, which alone draws a leg's three variates.
+        """
+        sc = self.sc
+        dt = sc.mobility_step_s
+        xs, ys, vxs, vys = self.x, self.y, self.vx, self.vy
+        waypoints, pauses = self.waypoint, self.pause
+        hypot = math.hypot
+        for i in range(len(xs)):
+            waypoint = waypoints[i]
+            if waypoint is None:  # a node keeps no waypoint while it pauses
+                moved = step_mobility(self._profile(i), dt, self.node_rect[i],
+                                      sc.node_speed, self.mobility_rng, sc.pause_s)
+                xs[i], ys[i] = moved.position
+                vxs[i], vys[i] = moved.velocity
+                waypoints[i] = moved.waypoint
+                pauses[i] = moved.pause_remaining
+                continue
+            x = xs[i]
+            y = ys[i]
+            speed = hypot(vxs[i], vys[i])
+            dx = waypoint[0] - x
+            dy = waypoint[1] - y
+            distance = hypot(dx, dy)
+            step = speed * dt
+            if step >= distance:
+                xs[i], ys[i] = waypoint
+                vxs[i] = vys[i] = 0.0
+                waypoints[i] = None
+                pauses[i] = sc.pause_s
+            else:
+                ux, uy = dx / distance, dy / distance
+                xs[i] = x + ux * step
+                ys[i] = y + uy * step
+                vxs[i] = ux * speed
+                vys[i] = uy * speed
 
     def _try_connect(self, flow: _Flow, distance: float) -> None:
         sc = self.sc
@@ -615,38 +685,34 @@ class _Engine:
         flow.handshaking = True
 
     # Neighbor verification sweeps run off-channel: they tally verdicts
-    # for coverage maps without competing with data traffic.
+    # for coverage maps without competing with data traffic.  Each verifier,
+    # in index order, checks its nearest unverified peer in range; the
+    # first of equally near peers in scan order wins.
     def _verify_neighbors(self) -> None:
-        sc = self.sc
-        for index in range(len(self.nodes)):
-            if index in self.attacker_kinds:
+        xs, ys = self.x, self.y
+        hypot = math.hypot
+        unverified = self.unverified
+        retired = []
+        for index, peers in unverified.items():
+            if not peers:
+                retired.append(index)
                 continue
-            cluster = self.node_cluster[index]
+            ax = xs[index]
+            ay = ys[index]
             best = None
-            best_distance = None
-            for peer in self.honest_by_cluster[cluster]:
-                if peer == index:
-                    continue
-                key = frozenset((index, peer))
-                if key in self.verified_pairs:
-                    continue
-                distance = self._distance(index, peer)
-                if distance <= self.max_range and (best_distance is None or distance < best_distance):
+            best_distance = math.inf
+            for peer in peers:
+                distance = hypot(xs[peer] - ax, ys[peer] - ay)
+                if distance < best_distance:
                     best, best_distance = peer, distance
-            for peer in self._attackers_in(cluster):
-                key = frozenset((index, peer))
-                if key in self.verified_pairs:
-                    continue
-                distance = self._distance(index, peer)
-                if distance <= self.max_range and (best_distance is None or distance < best_distance):
-                    best, best_distance = peer, distance
-            if best is None:
+            if best_distance > self.max_range:
                 continue
-            self.verified_pairs.add(frozenset((index, best)))
+            peers.remove(best)
+            if best in unverified:
+                unverified[best].remove(index)
             self._verify_pair(index, best, best_distance)
-
-    def _attackers_in(self, cluster: int) -> list[int]:
-        return [i for i in self.attacker_kinds if self.node_cluster[i] == cluster]
+        for index in retired:
+            del unverified[index]
 
     def _verify_pair(self, verifier: int, target: int, distance: float) -> None:
         scan = scan_for_neighbor(self.scan_plan, distance)
@@ -656,8 +722,8 @@ class _Engine:
         if kind is None:
             pool_a, pool_b = self._pair_pools(verifier, target)
             verdict = run_handshake(
-                replace(self.nodes[verifier], pool=pool_a),
-                replace(self.nodes[target], pool=pool_b),
+                self._profile(verifier, pool_a),
+                self._profile(target, pool_b),
                 self._evidence(verifier, target, scan.selected_range),
                 self.sc.handshake,
                 self.payload_rng,
@@ -701,8 +767,8 @@ class _Engine:
         elif kind == "wormhole":
             latency = self.tunnels.get(attacker, sc.tunnel_latency_s)
             tunnel = WormholeTunnel(
-                endpoint_a=self.nodes[attacker].node_id,
-                endpoint_b=f"{self.nodes[attacker].node_id}-far",
+                endpoint_a=self.node_id[attacker],
+                endpoint_b=f"{self.node_id[attacker]}-far",
                 tunnel_latency=latency,
             )
             distance = self._distance(victim, attacker)
@@ -713,8 +779,8 @@ class _Engine:
                 self._bearing(victim, attacker),
             )
             verdict = run_handshake(
-                self.nodes[victim],
-                self.nodes[attacker],
+                self._profile(victim),
+                self._profile(attacker),
                 evidence,
                 sc.handshake,
                 self.payload_rng,
@@ -726,7 +792,7 @@ class _Engine:
             d_max = scan.selected_range if scan.selected_range is not None else self.max_range
             evidence = self._evidence(victim, attacker, d_max)
             verdict = sybil_attempt(
-                self.sybil_sets[attacker], self.nodes[victim], evidence,
+                self.sybil_sets[attacker], self._profile(victim), evidence,
                 sc.handshake, self.payload_rng,
             )
             detected = not verdict.friendly

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sfvsim import simulator
 from sfvsim.adversary import ReplayProfile
 from sfvsim.cli import main
 from sfvsim.config import build_scenario, load_config, parse_config_text
@@ -211,6 +212,27 @@ def test_cli_run_config_file_with_flag_override(tmp_path):
 def test_cli_run_missing_config_exits_2(capsys):
     assert main(["run", "--config", "/no/such/file.cfg"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,flags", [
+    ("tx_rate_kbps = nan\n", []),
+    ("terrain_width = nan\n", []),
+    ("node_speed_max = inf\n", []),
+    ("", ["--duration", "nan"]),
+    ("", ["--duration", "inf"]),
+], ids=["tx-rate-nan", "terrain-nan", "speed-inf", "duration-nan", "duration-inf"])
+def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_path,
+                                                            monkeypatch, capsys):
+    def no_simulation(engine):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(simulator._Engine, "execute", no_simulation)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(config)
+    assert main(["run", "--config", str(cfg), *flags]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_sweep_tx_rate_rows(tmp_path):

@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+from sfvsim import simulator
 from sfvsim.model import IdPool, NodeProfile, SymmetricId
 from sfvsim.simulator import (
     QueueModel,
@@ -147,6 +148,23 @@ def test_packet_conservation_is_exact(kw):
     assert m.generated == m.delivered + m.dropped_queue + m.dropped_range + m.in_flight
 
 
+def test_engine_starts_legs_through_public_step_mobility(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].node_id)
+        return step_mobility(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "step_mobility", counting)
+    sc = desk(seed=4)
+    duration = 2.0
+    nodes = sc.clusters * sc.nodes_per_cluster
+    steps = round(duration / sc.mobility_step_s)
+    run_scenario(sc, duration)
+    assert len(set(calls)) == nodes  # every node draws its first leg
+    assert len(calls) < nodes * steps / 10  # mid-leg steps stay inline
+
+
 def test_zero_traffic_flagged():
     m = measure_metrics(run_scenario(desk(tx_rate_kbps=0.0), 10.0))
     assert m.no_traffic
@@ -177,6 +195,9 @@ def test_throughput_never_exceeds_offered_load():
     dict(attacker_fraction=1.5),
     dict(attacker_kind="replay"),  # needs a replay profile
     dict(discovery_interval_s=0.0),
+    dict(pause_s=math.nan),
+    dict(radio_ranges=(230.0, math.inf)),
+    dict(noise_distance_m=math.inf),
 ])
 def test_invalid_scenarios_rejected(kw):
     if "attacker_kind" in kw:
@@ -190,6 +211,8 @@ def test_queue_model_validation():
         QueueModel(capacity=0)
     with pytest.raises(ValueError):
         QueueModel(service_rate_kbps=0.0)
+    with pytest.raises(ValueError):
+        QueueModel(service_rate_kbps=math.inf)
 
 
 def test_ranging_mode_scans_and_shakes_more():
