@@ -82,7 +82,6 @@ from .simulator import (
     Scenario,
     ScenarioMetrics,
     ScenarioRun,
-    collect_detection_counts,
     measure_metrics,
     run_scenario,
     step_mobility,

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from .model import (
     BLOCK_BYTES,
     HALF_BITS,
+    PAD_BITS,
     Block,
     IntegratedKey,
     RangingEvidence,
     SymmetricId,
-    expand_keystream,
     pack_key,
 )
 
@@ -102,8 +102,7 @@ def init_session(evidence: RangingEvidence, id: SymmetricId, direction: str) -> 
     )
 
 
-def _roll(session: SfvSession, key: IntegratedKey) -> None:
-    packed = pack_key(key)
+def _roll(session: SfvSession, key: IntegratedKey, packed: int) -> None:
     session.seed_i = packed >> HALF_BITS
     session.seed_n = packed & ((1 << HALF_BITS) - 1)
     session.block_index += 1
@@ -123,9 +122,10 @@ def encrypt_block(session: SfvSession, plain: Block) -> Block:
     feedback = int.from_bytes(plain.data[:4], "big")
     k3 = rng2(session.seed_n) ^ feedback
     key = IntegratedKey(k1=k1, k2=session.id, k3=k3)
-    mask = int.from_bytes(expand_keystream(key), "big")
+    packed = pack_key(key)
+    mask = packed << PAD_BITS  # the keystream: the packed key, then the zero pad
     cipher = (int.from_bytes(plain.data, "big") ^ mask).to_bytes(BLOCK_BYTES, "big")
-    _roll(session, key)
+    _roll(session, key, packed)
     return Block(cipher)
 
 
@@ -142,7 +142,8 @@ def decrypt_block(session: SfvSession, cipher: Block) -> Block:
     feedback = int.from_bytes(cipher.data[:4], "big") ^ k1
     k3 = rng2(session.seed_n) ^ feedback
     key = IntegratedKey(k1=k1, k2=session.id, k3=k3)
-    mask = int.from_bytes(expand_keystream(key), "big")
+    packed = pack_key(key)
+    mask = packed << PAD_BITS  # the keystream: the packed key, then the zero pad
     plain = (int.from_bytes(cipher.data, "big") ^ mask).to_bytes(BLOCK_BYTES, "big")
-    _roll(session, key)
+    _roll(session, key, packed)
     return Block(plain)

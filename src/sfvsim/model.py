@@ -8,6 +8,7 @@ word, and is consumed most-significant-first.
 
 from __future__ import annotations
 
+from binascii import crc_hqx
 from dataclasses import dataclass, field
 
 ID_BITS = 26
@@ -115,29 +116,13 @@ def expand_keystream(key: IntegratedKey) -> bytes:
     return (pack_key(key) << PAD_BITS).to_bytes(BLOCK_BYTES, "big")
 
 
-# CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no final xor.
-_CRC_POLY = 0x1021
-
-
-def _crc_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC_POLY) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-_CRC16_TABLE = _crc_table()
-
-
 def block_checksum(payload: bytes) -> int:
-    """16-bit integrity checksum over a block payload."""
-    crc = 0xFFFF
-    for byte in payload:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
-    return crc
+    """16-bit integrity checksum over a block payload.
+
+    CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF, no reflection, no final
+    xor, which is binascii's CRC-CCITT started from 0xFFFF.
+    """
+    return crc_hqx(payload, 0xFFFF)
 
 
 @dataclass(frozen=True)

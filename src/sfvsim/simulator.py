@@ -229,7 +229,7 @@ class _Flow:
     __slots__ = (
         "src", "dst", "cluster", "queue", "generated", "dropped_queue",
         "dropped_range", "delivered", "total_delay", "connected",
-        "handshaking", "selected_range", "next_packet",
+        "handshaking", "selected_range", "seq",
     )
 
     def __init__(self, src: int, dst: int, cluster: int):
@@ -245,7 +245,7 @@ class _Flow:
         self.connected = False
         self.handshaking = False
         self.selected_range = 0.0
-        self.next_packet = 1
+        self.seq = 0  # heap sequence number reserved for the next arrival
 
 
 class _Channel:
@@ -472,11 +472,11 @@ class _Engine:
 
     def _prime_events(self) -> None:
         self._push(0.0, "mob", 0)
-        if self.gen_interval is not None:
+        if self.gen_interval is not None and self.flows and self.gen_interval <= self.duration:
             for flow in self.flows:
-                first = self.gen_interval
-                if first <= self.duration:
-                    self._push(first, "gen", flow)
+                self.seq += 1
+                flow.seq = self.seq
+            heapq.heappush(self.heap, (self.gen_interval, self.flows[0].seq, "tick", 1))
         if self.attacker_kinds and self.sc.attack_interval_s <= self.duration:
             self._push(self.sc.attack_interval_s, "atk", 1)
 
@@ -539,17 +539,36 @@ class _Engine:
 
     # ------------------------------------------------------------------ handlers
 
-    def _handle_gen(self, flow: _Flow) -> None:
-        flow.generated += 1
-        if len(flow.queue) < self.sc.queue.capacity:
-            flow.queue.append(self.now)
-            self._dispatch(flow.cluster)
-        else:
-            flow.dropped_queue += 1
-        flow.next_packet += 1
-        next_time = flow.next_packet * self.gen_interval
-        if next_time <= self.duration:
-            self._push(next_time, "gen", flow)
+    def _handle_tick(self, tick: int) -> None:
+        """Every flow's packet number `tick`, all due now.
+
+        Each flow holds the heap sequence number its own arrival event
+        would have taken, so the arrivals keep their place among other
+        events due now: before flow h's arrival, every such event with a
+        smaller sequence number runs first.  The tick itself is keyed on
+        flow 0's number.
+        """
+        now = self.now
+        heap = self.heap
+        handlers = self._HANDLERS
+        capacity = self.sc.queue.capacity
+        next_time = (tick + 1) * self.gen_interval
+        more = next_time <= self.duration
+        for flow in self.flows:
+            while heap and heap[0][0] == now and heap[0][1] < flow.seq:
+                _, _, kind, payload = heapq.heappop(heap)
+                handlers[kind](self, payload)
+            flow.generated += 1
+            if len(flow.queue) < capacity:
+                flow.queue.append(now)
+                self._dispatch(flow.cluster)
+            else:
+                flow.dropped_queue += 1
+            if more:
+                self.seq += 1
+                flow.seq = self.seq
+        if more:
+            heapq.heappush(heap, (next_time, self.flows[0].seq, "tick", tick + 1))
 
     def _dispatch(self, cluster: int) -> None:
         channel = self.channels[cluster]
@@ -802,16 +821,20 @@ class _Engine:
 
     # ------------------------------------------------------------------ loop
 
+    # Plain functions, not bound methods: a table of bound methods kept on
+    # the engine would form a reference cycle and outlive the run.
+    _HANDLERS = {"tick": _handle_tick, "svc": _handle_svc,
+                 "mob": _handle_mob, "atk": _handle_atk}
+
     def execute(self) -> ScenarioRun:
-        handlers = {"gen": self._handle_gen, "svc": self._handle_svc,
-                    "mob": self._handle_mob, "atk": self._handle_atk}
+        handlers = self._HANDLERS
         heap = self.heap
         while heap:
             time, _, kind, payload = heapq.heappop(heap)
             if time > self.duration:
                 break
             self.now = time
-            handlers[kind](payload)
+            handlers[kind](self, payload)
         self._collect()
         return self.run
 
@@ -865,10 +888,3 @@ def measure_metrics(run: ScenarioRun) -> ScenarioMetrics:
         ),
     )
 
-
-def collect_detection_counts(run: ScenarioRun) -> list[tuple[int, int]]:
-    """Per-cluster (friendly, suspicious) distinct verified-node counts."""
-    return [
-        (len(f), len(s))
-        for f, s in zip(run.friendly_nodes, run.suspicious_nodes)
-    ]

@@ -1,4 +1,4 @@
-"""Golden bytes: the metrics CSV of three short runs, pinned by sha256.
+"""Golden bytes: the metrics CSV of five short runs, pinned by sha256.
 
 Any engine change that moves a simulated number (draw order, float
 arithmetic, scan order) fails here; change a digest only together with a
@@ -36,6 +36,24 @@ handshake_attempt_extra_s = 0.01
 tx_rate_kbps = 600
 """
 
+# Every flow's packet k falls due at the same instant.  Fed at the channel
+# rate, service completions can fall due at exactly such an instant; with
+# two-packet queues that decides whether an arrival finds room, so such a
+# service event must run between the right two flows' arrivals.
+SAME_TIME_CFG = """\
+clusters = 2
+nodes_per_cluster = 20
+cluster_width = 400
+cluster_height = 400
+flows_per_cluster = 4
+queue_capacity = 2
+tx_rate_kbps = 1200
+"""
+
+# At 200 kbps the queues fill and drain in turn, so a flow that lost its
+# place among the arrivals of one tick would shift which packets drop.
+DESK_200_CFG = DESK_POINT_CFG.replace("tx_rate_kbps = 600", "tx_rate_kbps = 200")
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -51,6 +69,16 @@ GOLDEN = {
         DESK_POINT_CFG,
         ["--mode", "off", "--seed", "2", "--duration", "60"],
         "0d7aa091bbc4800e5d0af076e8e30006acc38c2031451fb082b01a51284b23d8",
+    ),
+    "same-time-service-off": (
+        SAME_TIME_CFG,
+        ["--mode", "off", "--seed", "1", "--duration", "30"],
+        "718e765a4b0179433f6833debf2851f3e08a80056534fc3ad39445f796eb4a8b",
+    ),
+    "desk-200-off": (
+        DESK_200_CFG,
+        ["--mode", "off", "--seed", "1", "--duration", "60"],
+        "b84dffc97640a6b4cb5ea1b74fab7e875f5cbd6894752f9ef9e8b7d9273537f8",
     ),
 }
 

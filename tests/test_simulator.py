@@ -1,8 +1,11 @@
 """Mobility, the event engine, and the network-shape properties."""
 
+import heapq
 import math
 import random
 import statistics
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +15,6 @@ from sfvsim.simulator import (
     QueueModel,
     Scenario,
     cluster_rects,
-    collect_detection_counts,
     measure_metrics,
     run_scenario,
     step_mobility,
@@ -165,6 +167,24 @@ def test_engine_starts_legs_through_public_step_mobility(monkeypatch):
     assert len(calls) < nodes * steps / 10  # mid-leg steps stay inline
 
 
+def test_one_generation_event_per_tick_for_all_flows(monkeypatch):
+    pushed = Counter()
+
+    def counting(heap, item):
+        pushed[item[2]] += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(simulator, "heapq",
+                        SimpleNamespace(heappush=counting, heappop=heapq.heappop))
+    sc = desk(seed=2, flows_per_cluster=4, tx_rate_kbps=600.0)
+    run = run_scenario(sc, 10.0)
+    flows = sc.clusters * sc.flows_per_cluster
+    ticks = run.generated // flows
+    assert run.generated == ticks * flows > 0
+    generation = sum(n for kind, n in pushed.items() if kind not in ("svc", "mob", "atk"))
+    assert generation == ticks
+
+
 def test_zero_traffic_flagged():
     m = measure_metrics(run_scenario(desk(tx_rate_kbps=0.0), 10.0))
     assert m.no_traffic
@@ -227,25 +247,21 @@ def test_ranging_mode_scans_and_shakes_more():
 # ----------------------------------------------------------- verdict counts
 
 def test_all_honest_clusters_have_no_suspects():
-    run = run_scenario(desk(seed=3, neighbor_verification=True), 10.0)
-    counts = collect_detection_counts(run)
-    assert len(counts) == 2
-    assert all(suspicious == 0 for _, suspicious in counts)
-    assert all(friendly > 0 for friendly, _ in counts)
+    m = measure_metrics(run_scenario(desk(seed=3, neighbor_verification=True), 10.0))
+    assert len(m.suspicious_per_cluster) == 2
+    assert all(suspicious == 0 for suspicious in m.suspicious_per_cluster)
+    assert all(friendly > 0 for friendly in m.friendly_per_cluster)
 
 
 def test_planted_attackers_are_counted_per_cluster():
     sc = desk(seed=8, attacker_fraction=0.1, attacker_kind="sybil",
               neighbor_verification=True)
-    run = run_scenario(sc, 10.0)
-    counts = collect_detection_counts(run)
+    metrics = measure_metrics(run_scenario(sc, 10.0))
     planted = round(0.1 * 20)
-    for friendly, suspicious in counts:
+    for friendly, suspicious in zip(metrics.friendly_per_cluster,
+                                    metrics.suspicious_per_cluster):
         assert suspicious == planted
         assert friendly + suspicious <= 20
-    metrics = measure_metrics(run)
-    assert metrics.suspicious_per_cluster == tuple(s for _, s in counts)
-    assert metrics.friendly_per_cluster == tuple(f for f, _ in counts)
     # forged ids lose every handshake, so every recorded attack is caught
     assert metrics.attack_attempts > 0
     assert metrics.empirical_detection_rate == 1.0
@@ -265,14 +281,13 @@ def test_full_scale_counts_have_the_right_order():
     sc = Scenario(master_seed=5, sfv_mode="sfv", tx_rate_kbps=200.0,
                   attacker_fraction=0.05, attacker_kind="mixed",
                   neighbor_verification=True)
-    run = run_scenario(sc, 4.0)
-    counts = collect_detection_counts(run)
-    assert len(counts) == 10
-    total_friendly = sum(f for f, _ in counts)
-    total_suspicious = sum(s for _, s in counts)
+    m = measure_metrics(run_scenario(sc, 4.0))
+    assert len(m.suspicious_per_cluster) == 10
+    total_friendly = sum(m.friendly_per_cluster)
+    total_suspicious = sum(m.suspicious_per_cluster)
     assert 10 <= total_suspicious <= 80
     assert total_friendly >= 5 * total_suspicious
-    for friendly, suspicious in counts:
+    for friendly, suspicious in zip(m.friendly_per_cluster, m.suspicious_per_cluster):
         assert friendly + suspicious <= 80
         assert suspicious >= 1
 
