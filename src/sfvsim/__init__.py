@@ -62,7 +62,6 @@ from .protocol import (
     handshake_transcript,
     run_handshake,
     transcript_lines,
-    verify_block,
 )
 from .ranging import (
     ScanPlan,

@@ -50,13 +50,15 @@ def wormhole_perturb(
     mouth's bearing when the caller supplies one (the tunnel itself only
     knows its endpoint labels, not the victim's geometry).
     """
-    changes = {
-        "rtt": evidence.rtt + tunnel.tunnel_latency,
-        "d_radial": evidence.d_radial + LIGHTSPEED * tunnel.tunnel_latency / 2.0,
-    }
-    if tunnel_bearing is not None:
-        changes["aoa"] = tunnel_bearing % 360.0
-    return replace(evidence, **changes)
+    return RangingEvidence(
+        d_radial=evidence.d_radial + LIGHTSPEED * tunnel.tunnel_latency / 2.0,
+        aoa=evidence.aoa if tunnel_bearing is None else tunnel_bearing % 360.0,
+        rtt=evidence.rtt + tunnel.tunnel_latency,
+        d_max=evidence.d_max,
+        aoa_center=evidence.aoa_center,
+        aoa_halfwidth=evidence.aoa_halfwidth,
+        rtt_max=evidence.rtt_max,
+    )
 
 
 def capture(tunnel: WormholeTunnel, evidence: RangingEvidence) -> WormholeTunnel:

@@ -4,26 +4,43 @@ The first block's key material is seeded from measured link evidence:
 the radial distance / arrival angle on one side, the round-trip time on
 the other.  Every subsequent block reseeds from the halves of the key
 just used, so both endpoints stay synchronized without exchanging keys.
+
+The cipher arithmetic lives in one int-level step per direction
+(`_encrypt`, `_decrypt`).  `encrypt_block`/`decrypt_block` wrap them for
+one `Block` and a mutable `SfvSession`; `_exchange` chains them over a
+handshake's m blocks on plain ints, which is what `run_handshake` uses.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from binascii import crc_hqx
 from dataclasses import dataclass
 
 from .model import (
     BLOCK_BYTES,
+    CHECKSUM_BYTES,
     HALF_BITS,
+    ID_BITS,
+    K1_BITS,
+    K3_BITS,
     PAD_BITS,
+    PAYLOAD_BYTES,
     Block,
     IntegratedKey,
     RangingEvidence,
     SymmetricId,
-    pack_key,
+    unpack_key,
 )
 
 _M64 = (1 << 64) - 1
 _MASK32 = 0xFFFFFFFF
+_MASK_HALF = (1 << HALF_BITS) - 1
+_K1_SHIFT = ID_BITS + K3_BITS  # k1 leads the packed key
+_FEEDBACK_SHIFT = BLOCK_BYTES * 8 - K1_BITS  # a block's leading 32 bits
+_CHECKSUM_BITS = CHECKSUM_BYTES * 8
+_CHECKSUM_MASK = (1 << _CHECKSUM_BITS) - 1
 
 # Fixed 64-bit mixing constants.  Both generators run the same
 # xorshift-multiply finalizer; they differ only in the additive constant
@@ -102,48 +119,82 @@ def init_session(evidence: RangingEvidence, id: SymmetricId, direction: str) -> 
     )
 
 
-def _roll(session: SfvSession, key: IntegratedKey, packed: int) -> None:
-    session.seed_i = packed >> HALF_BITS
-    session.seed_n = packed & ((1 << HALF_BITS) - 1)
-    session.block_index += 1
-    session.current_key = key
+def _encrypt(seed_i: int, seed_n: int, id_value: int, plain: int) -> tuple[int, int]:
+    """One encryptor step on ints: (cipher block, packed key).
 
-
-def encrypt_block(session: SfvSession, plain: Block) -> Block:
-    """Mask one plaintext block and roll the session key.
-
-    The timing word folds in the first 32 plaintext bits, so the keystream
+    The timing word folds in the block's leading 32 bits, so the keystream
     depends on the block being sent; a decryptor can still recover it
     because the location word alone unmasks those bits.
     """
-    if session.direction != "encryptor":
-        raise ValueError("encrypt_block requires an encryptor session")
-    k1 = rng1(session.seed_i)
-    feedback = int.from_bytes(plain.data[:4], "big")
-    k3 = rng2(session.seed_n) ^ feedback
-    key = IntegratedKey(k1=k1, k2=session.id, k3=k3)
-    packed = pack_key(key)
-    mask = packed << PAD_BITS  # the keystream: the packed key, then the zero pad
-    cipher = (int.from_bytes(plain.data, "big") ^ mask).to_bytes(BLOCK_BYTES, "big")
-    _roll(session, key, packed)
-    return Block(cipher)
+    k1 = rng1(seed_i)
+    k3 = rng2(seed_n) ^ (plain >> _FEEDBACK_SHIFT)
+    packed = (k1 << _K1_SHIFT) | (id_value << K3_BITS) | k3
+    return plain ^ (packed << PAD_BITS), packed  # the mask: the packed key, then the zero pad
 
 
-def decrypt_block(session: SfvSession, cipher: Block) -> Block:
-    """Unmask one block and roll the session key in step with the sender.
+def _decrypt(seed_i: int, seed_n: int, id_value: int, cipher: int) -> tuple[int, int]:
+    """One decryptor step on ints: (plain block, packed key).
 
     The leading 58 bits fall to the location word and the symmetric ID;
     that exposes the plaintext feedback bits, which reconstruct the timing
     word for the remaining 32 masked bits.  The 6 pad bits pass through.
     """
+    k1 = rng1(seed_i)
+    k3 = rng2(seed_n) ^ (cipher >> _FEEDBACK_SHIFT) ^ k1
+    packed = (k1 << _K1_SHIFT) | (id_value << K3_BITS) | k3
+    return cipher ^ (packed << PAD_BITS), packed
+
+
+def _exchange(
+    sender: tuple[int, int, int],
+    receiver: tuple[int, int, int],
+    m_blocks: int,
+    rng: random.Random,
+) -> int:
+    """Send up to m_blocks random checksummed blocks; return how many verified.
+
+    sender and receiver are (seed_i, seed_n, id value).  Each block draws
+    its payload from rng, is encrypted by the sender and decrypted by the
+    receiver, and both seed pairs roll from the keys just used.  The
+    exchange stops at the first block whose checksum fails.
+    """
+    seed_i, seed_n, id_a = sender
+    seed_r, seed_t, id_b = receiver
+    for verified in range(m_blocks):
+        payload = rng.randbytes(PAYLOAD_BYTES)
+        plain = (int.from_bytes(payload, "big") << _CHECKSUM_BITS) | crc_hqx(payload, 0xFFFF)
+        cipher, sent = _encrypt(seed_i, seed_n, id_a, plain)
+        received, used = _decrypt(seed_r, seed_t, id_b, cipher)
+        body = (received >> _CHECKSUM_BITS).to_bytes(PAYLOAD_BYTES, "big")
+        if crc_hqx(body, 0xFFFF) != received & _CHECKSUM_MASK:
+            return verified
+        seed_i, seed_n = sent >> HALF_BITS, sent & _MASK_HALF
+        seed_r, seed_t = used >> HALF_BITS, used & _MASK_HALF
+    return m_blocks
+
+
+def _roll(session: SfvSession, packed: int) -> None:
+    session.seed_i = packed >> HALF_BITS
+    session.seed_n = packed & _MASK_HALF
+    session.block_index += 1
+    session.current_key = unpack_key(packed)
+
+
+def encrypt_block(session: SfvSession, plain: Block) -> Block:
+    """Mask one plaintext block and roll the session key."""
+    if session.direction != "encryptor":
+        raise ValueError("encrypt_block requires an encryptor session")
+    cipher, packed = _encrypt(session.seed_i, session.seed_n, session.id.value,
+                              int.from_bytes(plain.data, "big"))
+    _roll(session, packed)
+    return Block(cipher.to_bytes(BLOCK_BYTES, "big"))
+
+
+def decrypt_block(session: SfvSession, cipher: Block) -> Block:
+    """Unmask one block and roll the session key in step with the sender."""
     if session.direction != "decryptor":
         raise ValueError("decrypt_block requires a decryptor session")
-    k1 = rng1(session.seed_i)
-    feedback = int.from_bytes(cipher.data[:4], "big") ^ k1
-    k3 = rng2(session.seed_n) ^ feedback
-    key = IntegratedKey(k1=k1, k2=session.id, k3=k3)
-    packed = pack_key(key)
-    mask = packed << PAD_BITS  # the keystream: the packed key, then the zero pad
-    plain = (int.from_bytes(cipher.data, "big") ^ mask).to_bytes(BLOCK_BYTES, "big")
-    _roll(session, key, packed)
-    return Block(plain)
+    plain, packed = _decrypt(session.seed_i, session.seed_n, session.id.value,
+                             int.from_bytes(cipher.data, "big"))
+    _roll(session, packed)
+    return Block(plain.to_bytes(BLOCK_BYTES, "big"))

@@ -551,6 +551,7 @@ class _Engine:
         now = self.now
         heap = self.heap
         handlers = self._HANDLERS
+        channels = self.channels
         capacity = self.sc.queue.capacity
         next_time = (tick + 1) * self.gen_interval
         more = next_time <= self.duration
@@ -561,7 +562,8 @@ class _Engine:
             flow.generated += 1
             if len(flow.queue) < capacity:
                 flow.queue.append(now)
-                self._dispatch(flow.cluster)
+                if channels[flow.cluster].job is None:  # a busy channel picks it up when done
+                    self._dispatch(flow.cluster)
             else:
                 flow.dropped_queue += 1
             if more:

@@ -1,4 +1,5 @@
-"""Golden bytes: the metrics CSV of five short runs, pinned by sha256.
+"""Golden bytes: the metrics CSV of five short runs and the transcripts of
+six seeded handshake sets, pinned by sha256.
 
 Any engine change that moves a simulated number (draw order, float
 arithmetic, scan order) fails here; change a digest only together with a
@@ -7,10 +8,14 @@ time.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from sfvsim.cli import main
+from sfvsim.model import IdPool, NodeProfile, SymmetricId
+from sfvsim.protocol import HandshakeConfig, run_handshake, transcript_lines
+from sfvsim.ranging import evidence_for_link, perturbed
 
 VERIFY_ATTACK_CFG = """\
 clusters = 2
@@ -94,3 +99,101 @@ def test_run_csv_bytes_match_the_recorded_digest(name, tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# ---------------------------------------------------------------- handshakes
+
+HONEST_IDS = (0x3FFFFFF, 0x1234567, 77, 0, 0x2ABCDEF)
+SYBIL_IDS = (5, 0x3000001, 91)
+
+
+def _node(name, values):
+    return NodeProfile(name, (0.0, 0.0), (0.0, 0.0), "honest",
+                       IdPool([SymmetricId(v) for v in values]))
+
+
+def _link(rng, far=225.0):
+    return evidence_for_link(rng.uniform(20.0, far), rng.uniform(0.0, 360.0), 230.0)
+
+
+def _friendly(m_blocks):
+    def handshakes(rng):
+        a, b = _node("a", HONEST_IDS), _node("b", HONEST_IDS)
+        cfg = HandshakeConfig(m_blocks=m_blocks)
+        return [((a, b, _link(rng), cfg), {}) for _ in range(6)]
+    return handshakes
+
+
+def _sybil(rng):
+    a, b = _node("victim", HONEST_IDS), _node("impostor", SYBIL_IDS)
+    return [((a, b, _link(rng), HandshakeConfig()), {}) for _ in range(6)]
+
+
+def _asymmetric(rng):
+    # The responder measures the link a little differently: alternately a
+    # centimeter-scale distance offset (location seed) and a nanosecond-scale
+    # RTT offset (timing seed).  Same pools, so no id-mismatch.
+    a, b = _node("a", HONEST_IDS), _node("b", HONEST_IDS)
+    calls = []
+    for k in range(6):
+        ev = _link(rng)
+        if k % 2:
+            theirs = perturbed(ev, rtt=ev.rtt + rng.uniform(2e-9, 9e-9))
+        else:
+            theirs = perturbed(ev, d_radial=ev.d_radial + rng.uniform(0.02, 0.2))
+        calls.append(((a, b, ev, HandshakeConfig(m_blocks=3)), {"responder_evidence": theirs}))
+    return calls
+
+
+def _threshold_retries(rng):
+    # A fresh measurement per attempt, some beyond the 230 m range, so
+    # handshakes pass on the first, second or third try or fail all three.
+    a, b = _node("a", HONEST_IDS), _node("b", HONEST_IDS)
+    cfg = HandshakeConfig(m_blocks=2, retry_limit=2)
+    return [((a, b, lambda: _link(rng, far=500.0), cfg), {}) for _ in range(10)]
+
+
+HANDSHAKE_GOLDEN = {
+    "friendly-m1": (
+        _friendly(1),
+        "25c20d7a8417a10c9a0013a34295b51da298d2c1162bea13e9bb4810b3feb05f",
+    ),
+    "friendly-m4": (
+        _friendly(4),
+        "9cfdb1d5c9a85acbda7f9e6df509b9c88e4bfd94b575310faa5b5eb5e5d0c8a0",
+    ),
+    "friendly-m8": (
+        _friendly(8),
+        "85b9f8a04f9e1122d6bf5450ccbc8d14efb3809e6a329543cc2a1a8a6808d563",
+    ),
+    "sybil-disjoint-pools": (
+        _sybil,
+        "3990f0d9190c1499f524aa0fd105cc3774b4530bea5f35c257dd4ee3a79ec605",
+    ),
+    "asymmetric-evidence": (
+        _asymmetric,
+        "0c936ba4fdc85c74ffa7239271e17de9ee7baddaba159e67bd0a47c0cf94faa0",
+    ),
+    "threshold-retries": (
+        _threshold_retries,
+        "4a558e295acd4986ea9b853aca80f760777a1badc160ecf636b266152a9391e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HANDSHAKE_GOLDEN))
+def test_handshake_transcripts_match_the_recorded_digest(name):
+    build, digest = HANDSHAKE_GOLDEN[name]
+    case_rng = random.Random(f"golden-{name}")
+    payload_rng = random.Random(11)
+    lines = []
+    for args, kwargs in build(case_rng):
+        transcript = []
+        verdict = run_handshake(*args, payload_rng, transcript=transcript, **kwargs)
+        lines += transcript_lines(transcript)
+        lines.append(f"{verdict.outcome}:{';'.join(verdict.reasons)}:"
+                     f"{verdict.blocks_verified}/{verdict.m_blocks}")
+    # Pins how many payload bytes the exchanges drew, too.
+    lines.append(str(payload_rng.getrandbits(64)))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfvsim.keyschedule import (
     SfvSession,
+    _exchange,
     decrypt_block,
     encrypt_block,
     init_session,
@@ -206,6 +207,40 @@ def test_replayed_ciphertext_fails_checksum():
     fresh = init_session(evidence(d=11.0, rtt=2e-6), SymmetricId(77), "decryptor")
     failures = sum(not decrypt_block(fresh, c).checksum_ok() for c in replayed)
     assert failures >= len(replayed) - 2
+
+
+# ------------------------------------------------------------- the exchange
+
+SEEDS = st.integers(0, 2**45 - 1)
+IDS = st.integers(0, 2**26 - 1)
+
+
+def chained_block_count(sender, receiver, m_blocks, rng):
+    """The exchange spelled out with the per-block API, stopping early."""
+    for index in range(m_blocks):
+        plain = Block.from_payload(rng.randbytes(10))
+        if not decrypt_block(receiver, encrypt_block(sender, plain)).checksum_ok():
+            return index
+    return m_blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, SEEDS, IDS, st.one_of(st.none(), IDS), st.one_of(st.none(), st.tuples(SEEDS, SEEDS)),
+       st.integers(1, 8), st.integers(0, 2**32))
+def test_exchange_counts_what_the_block_api_verifies(seed_i, seed_n, id_a, id_b, other_seeds,
+                                                     m_blocks, payload_seed):
+    # None draws the sender's value: the same ID, the same seed pair.
+    id_b = id_a if id_b is None else id_b
+    seed_r, seed_t = (seed_i, seed_n) if other_seeds is None else other_seeds
+    sender = SfvSession(SymmetricId(id_a), "encryptor", seed_i, seed_n)
+    receiver = SfvSession(SymmetricId(id_b), "decryptor", seed_r, seed_t)
+    block_rng, int_rng = random.Random(payload_seed), random.Random(payload_seed)
+    expected = chained_block_count(sender, receiver, m_blocks, block_rng)
+    verified = _exchange((seed_i, seed_n, id_a), (seed_r, seed_t, id_b), m_blocks, int_rng)
+    assert verified == expected
+    assert int_rng.getstate() == block_rng.getstate()
+    if id_a == id_b and (seed_i, seed_n) == (seed_r, seed_t):
+        assert verified == m_blocks
 
 
 def test_session_state_fields():

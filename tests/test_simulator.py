@@ -20,7 +20,7 @@ from sfvsim.simulator import (
     step_mobility,
 )
 
-from conftest import MODES, SPEEDS
+from conftest import MODES, SPEEDS, rate_scenario
 
 TERRAIN = (300.0, 300.0)
 SPEED_RANGE = (5.0, 50.0)
@@ -183,6 +183,26 @@ def test_one_generation_event_per_tick_for_all_flows(monkeypatch):
     assert run.generated == ticks * flows > 0
     generation = sum(n for kind, n in pushed.items() if kind not in ("svc", "mob", "atk"))
     assert generation == ticks
+
+
+def test_arrivals_dispatch_only_onto_an_idle_channel(monkeypatch):
+    # At 2000 kbps the channel is saturated, so an arrival almost always
+    # finds it busy.  Only the once-per-step dispatch of each cluster's
+    # channel may still find it busy.
+    busy = 0
+    dispatch = simulator._Engine._dispatch
+
+    def counting(engine, cluster):
+        nonlocal busy
+        busy += engine.channels[cluster].job is not None
+        dispatch(engine, cluster)
+
+    monkeypatch.setattr(simulator._Engine, "_dispatch", counting)
+    sc = rate_scenario(2, "sfv", 2000.0)
+    duration = 60.0
+    run_scenario(sc, duration)
+    mobility_events = round(duration / sc.mobility_step_s) + 1  # steps 0..N
+    assert 0 < busy <= mobility_events * sc.clusters
 
 
 def test_zero_traffic_flagged():
