@@ -11,7 +11,6 @@ from .adversary import (
     ReplayProfile,
     SybilIdentitySet,
     WormholeTunnel,
-    assert_disjoint_identities,
     sample_detection,
     sybil_attempt,
     wormhole_perturb,
@@ -19,7 +18,6 @@ from .adversary import (
 from .analytics import (
     DetectionComparison,
     DetectionModel,
-    SweepSpec,
     brute_force_average,
     compare_analytic_empirical,
     detection_probability,
@@ -27,7 +25,6 @@ from .analytics import (
     emit_csv,
     empirical_detection_rate,
     keyspace_size,
-    parse_csv,
     scientific_string,
 )
 from .config import build_scenario, load_config, parse_config_text
@@ -44,16 +41,12 @@ from .keyschedule import (
 from .model import (
     Block,
     IdPool,
-    IntegratedKey,
     NodeProfile,
     RangingEvidence,
     SymmetricId,
     block_checksum,
-    expand_keystream,
-    pack_key,
+    draw_distinct_ids,
     select_symmetric_id,
-    split_key_halves,
-    unpack_key,
 )
 from .protocol import (
     HandshakeConfig,

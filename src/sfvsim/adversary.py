@@ -11,7 +11,7 @@ modeled probabilistically per verification check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import IdPool, NodeProfile, RangingEvidence, SymmetricId
 from .protocol import HandshakeConfig, Verdict, run_handshake
@@ -23,18 +23,16 @@ class WormholeTunnel:
     """An out-of-band relay between two colluding endpoints.
 
     tunnel_latency is the extra one-way delay the relay adds, seconds.
-    capture_buffer records evidence the tunnel has replayed, newest last.
     """
 
     endpoint_a: str
     endpoint_b: str
     tunnel_latency: float
-    capture_buffer: tuple[RangingEvidence, ...] = ()
 
     def __post_init__(self):
         if self.endpoint_a == self.endpoint_b:
             raise ValueError("tunnel endpoints must differ")
-        if self.tunnel_latency <= 0:
+        if not self.tunnel_latency > 0:  # NaN fails too
             raise ValueError(f"tunnel latency must be positive: {self.tunnel_latency}")
 
 
@@ -61,18 +59,13 @@ def wormhole_perturb(
     )
 
 
-def capture(tunnel: WormholeTunnel, evidence: RangingEvidence) -> WormholeTunnel:
-    """Record replayed evidence in the tunnel's capture buffer."""
-    return replace(tunnel, capture_buffer=tunnel.capture_buffer + (evidence,))
-
-
 @dataclass
 class SybilIdentitySet:
     """False identities one attacker presents as distinct neighbors.
 
-    Claimed IDs must be disjoint from the honest pool; the scenario
-    builder enforces that, since only it sees both sets.  The cursor
-    cycles so consecutive attempts impersonate successive identities.
+    Claimed IDs must be disjoint from the honest pool; the simulator
+    draws them so, since only it sees both sets.  The cursor cycles so
+    consecutive attempts impersonate successive identities.
     """
 
     claimed_ids: list[SymmetricId]
@@ -85,17 +78,6 @@ class SybilIdentitySet:
         values = [i.value for i in self.claimed_ids]
         if len(set(values)) != len(values):
             raise ValueError("claimed ids contain duplicates")
-
-    @property
-    def claimed_values(self) -> frozenset[int]:
-        return frozenset(i.value for i in self.claimed_ids)
-
-
-def assert_disjoint_identities(attacker: SybilIdentitySet, honest_pool: IdPool) -> None:
-    """Reject scenario configurations where claimed IDs leak into the pool."""
-    overlap = attacker.claimed_values & {i.value for i in honest_pool.ids}
-    if overlap:
-        raise ValueError(f"sybil ids collide with the honest pool: {sorted(overlap)}")
 
 
 def sybil_attempt(

@@ -134,23 +134,6 @@ def compare_analytic_empirical(
     return rows
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-variable sweep: which knob, its values, replications per value."""
-
-    variable: str  # "tx_rate" | "node_speed" | "n_ids"
-    values: tuple[float, ...]
-    repetitions: int = 1
-
-    def __post_init__(self):
-        if self.variable not in ("tx_rate", "node_speed", "n_ids"):
-            raise ValueError(f"unknown sweep variable: {self.variable!r}")
-        if not self.values:
-            raise ValueError("sweep needs at least one value")
-        if self.repetitions < 1:
-            raise ValueError("sweep needs at least one repetition")
-
-
 def emit_csv(records: list[dict], destination, fieldnames: list[str] | None = None) -> None:
     """Write records as a deterministic RFC-4180-style CSV.
 
@@ -179,12 +162,3 @@ def emit_csv(records: list[dict], destination, fieldnames: list[str] | None = No
     else:
         write(destination)
 
-
-def parse_csv(source) -> list[dict]:
-    """Read back a CSV emitted by emit_csv, values as strings."""
-    import csv
-
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", newline="") as handle:
-            return list(csv.DictReader(handle))
-    return list(csv.DictReader(source))

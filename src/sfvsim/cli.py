@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import fields
 
 from .adversary import ReplayProfile, WormholeTunnel, wormhole_perturb
 from .analytics import (
@@ -24,44 +25,18 @@ from .analytics import (
     scientific_string,
 )
 from .config import build_scenario, load_config
-from .model import IdPool, KEY_BITS, NodeProfile, SymmetricId
+from .model import IdPool, KEY_BITS, NodeProfile, draw_distinct_ids
 from .protocol import HandshakeConfig, handshake_transcript, transcript_lines
 from .ranging import evidence_for_link
-from .simulator import SFV_MODES, measure_metrics, run_scenario
+from .simulator import SFV_MODES, ScenarioMetrics, measure_metrics, run_scenario
 
 
-def _metrics_record(metrics) -> dict:
-    return {
-        "mode": metrics.mode,
-        "seed": metrics.master_seed,
-        "duration_s": metrics.duration_s,
-        "tx_rate_kbps": metrics.tx_rate_kbps,
-        "node_speed_min": metrics.node_speed[0],
-        "node_speed_max": metrics.node_speed[1],
-        "generated": metrics.generated,
-        "delivered": metrics.delivered,
-        "dropped_queue": metrics.dropped_queue,
-        "dropped_range": metrics.dropped_range,
-        "in_flight": metrics.in_flight,
-        "throughput_kbps": metrics.throughput_kbps,
-        "mean_delay_s": metrics.mean_delay_s,
-        "pdr": metrics.pdr,
-        "no_traffic": metrics.no_traffic,
-        "handshakes": metrics.handshakes,
-        "scan_attempts": metrics.scan_attempts,
-        "friendly_per_cluster": ";".join(str(n) for n in metrics.friendly_per_cluster),
-        "suspicious_per_cluster": ";".join(str(n) for n in metrics.suspicious_per_cluster),
-        "attack_attempts": metrics.attack_attempts,
-        "attacks_detected": metrics.attacks_detected,
-        "empirical_detection_rate": metrics.empirical_detection_rate,
-    }
-
-
-def _emit(records: list[dict], out: str | None) -> None:
-    if out:
-        emit_csv(records, out)
-    else:
-        emit_csv(records, sys.stdout)
+def _metrics_record(metrics: ScenarioMetrics) -> dict:
+    record = {}
+    for spec in fields(ScenarioMetrics):
+        value = getattr(metrics, spec.name)
+        record[spec.name] = ";".join(map(str, value)) if isinstance(value, tuple) else value
+    return record
 
 
 def _load_options(args) -> dict:
@@ -77,7 +52,7 @@ def _cmd_run(args) -> int:
         duration_s=args.duration,
     )
     run = run_scenario(scenario, duration)
-    _emit([_metrics_record(measure_metrics(run))], args.out)
+    emit_csv([_metrics_record(measure_metrics(run))], args.out or sys.stdout)
     return 0
 
 
@@ -104,7 +79,7 @@ def _cmd_sweep(args) -> int:
             }
             for row in rows
         ]
-        _emit(records, args.out)
+        emit_csv(records, args.out or sys.stdout)
         return 0
 
     records = []
@@ -126,7 +101,7 @@ def _cmd_sweep(args) -> int:
             record = {"variable": args.variable, "value": float(value)}
             record.update(_metrics_record(metrics))
             records.append(record)
-    _emit(records, args.out)
+    emit_csv(records, args.out or sys.stdout)
     return 0
 
 
@@ -150,7 +125,7 @@ def _cmd_detect(args) -> int:
         }
         for n in n_values
     ]
-    _emit(records, args.out)
+    emit_csv(records, args.out or sys.stdout)
     return 0
 
 
@@ -178,17 +153,7 @@ def _cmd_keyspace(args) -> int:
 def _cmd_handshake(args) -> int:
     rng = random.Random(args.seed if args.seed is not None else 1)
     taken: set[int] = set()
-
-    def draw_ids(count: int) -> list[SymmetricId]:
-        ids = []
-        while len(ids) < count:
-            value = rng.getrandbits(26)
-            if value not in taken:
-                taken.add(value)
-                ids.append(SymmetricId(value))
-        return ids
-
-    shared = draw_ids(6)
+    shared = draw_distinct_ids(rng, 6, taken)
     initiator = NodeProfile("initiator", (0.0, 0.0), (0.0, 0.0), "honest", IdPool(list(shared)))
     responder = NodeProfile("responder", (150.0, 0.0), (0.0, 0.0), "honest", IdPool(list(shared)))
     evidence = evidence_for_link(150.0, 0.0, d_max=270.0)
@@ -200,7 +165,7 @@ def _cmd_handshake(args) -> int:
         events = handshake_transcript(initiator, responder, evidence, cfg, rng)
     elif args.adversary == "sybil":
         impostor = NodeProfile("impostor", (150.0, 0.0), (0.0, 0.0), "sybil",
-                               IdPool(draw_ids(3)))
+                               IdPool(draw_distinct_ids(rng, 3, taken)))
         events = handshake_transcript(initiator, impostor, evidence, cfg, rng)
     else:
         events = handshake_transcript(initiator, responder, evidence, cfg, rng)

@@ -28,10 +28,8 @@ from .model import (
     PAD_BITS,
     PAYLOAD_BYTES,
     Block,
-    IntegratedKey,
     RangingEvidence,
     SymmetricId,
-    unpack_key,
 )
 
 _M64 = (1 << 64) - 1
@@ -103,8 +101,6 @@ class SfvSession:
     direction: str  # "encryptor" | "decryptor"
     seed_i: int
     seed_n: int
-    block_index: int = 0
-    current_key: IntegratedKey | None = None
 
 
 def init_session(evidence: RangingEvidence, id: SymmetricId, direction: str) -> SfvSession:
@@ -176,8 +172,6 @@ def _exchange(
 def _roll(session: SfvSession, packed: int) -> None:
     session.seed_i = packed >> HALF_BITS
     session.seed_n = packed & _MASK_HALF
-    session.block_index += 1
-    session.current_key = unpack_key(packed)
 
 
 def encrypt_block(session: SfvSession, plain: Block) -> Block:

@@ -1,15 +1,17 @@
-"""Core value types for link verification: symmetric IDs, integrated keys, blocks.
+"""Core value types for link verification: symmetric IDs, blocks, evidence.
 
 The verification cipher works on 12-byte blocks (10 payload bytes plus a
 16-bit checksum) masked by a 90-bit integrated key.  The key concatenates a
 32-bit location-derived word, a 26-bit symmetric ID and a 32-bit timing
-word, and is consumed most-significant-first.
+word, and is consumed most-significant-first; `sfvsim.keyschedule` builds
+it.
 """
 
 from __future__ import annotations
 
+import random
 from binascii import crc_hqx
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ID_BITS = 26
 K1_BITS = 32
@@ -23,8 +25,6 @@ CHECKSUM_BYTES = 2
 BLOCK_BYTES = PAYLOAD_BYTES + CHECKSUM_BYTES
 
 _MASK_ID = (1 << ID_BITS) - 1
-_MASK32 = 0xFFFFFFFF
-_MASK_HALF = (1 << HALF_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class SymmetricId:
     def __post_init__(self):
         if not 0 <= self.value <= _MASK_ID:
             raise ValueError(f"symmetric id out of 26-bit range: {self.value}")
-
-    def __int__(self) -> int:
-        return self.value
 
 
 @dataclass
@@ -57,8 +54,19 @@ class IdPool:
         if len(set(values)) != len(values):
             raise ValueError("id pool contains duplicate ids")
 
-    def __len__(self) -> int:
-        return len(self.ids)
+
+def draw_distinct_ids(rng: random.Random, count: int, taken: set[int]) -> list[SymmetricId]:
+    """Draw count 26-bit IDs from rng that are not in taken, and add them to it.
+
+    Each try is one getrandbits(26) draw; a value already taken is skipped.
+    """
+    ids = []
+    while len(ids) < count:
+        value = rng.getrandbits(ID_BITS)
+        if value not in taken:
+            taken.add(value)
+            ids.append(SymmetricId(value))
+    return ids
 
 
 def select_symmetric_id(pool: IdPool) -> SymmetricId:
@@ -68,52 +76,6 @@ def select_symmetric_id(pool: IdPool) -> SymmetricId:
     chosen = pool.ids[pool.next_index % len(pool.ids)]
     pool.next_index = (pool.next_index + 1) % len(pool.ids)
     return chosen
-
-
-@dataclass(frozen=True)
-class IntegratedKey:
-    """One block's 90-bit key: location word, symmetric ID, timing word."""
-
-    k1: int
-    k2: SymmetricId
-    k3: int
-
-    def __post_init__(self):
-        if not 0 <= self.k1 <= _MASK32:
-            raise ValueError(f"k1 out of 32-bit range: {self.k1}")
-        if not 0 <= self.k3 <= _MASK32:
-            raise ValueError(f"k3 out of 32-bit range: {self.k3}")
-
-
-def pack_key(key: IntegratedKey) -> int:
-    """Concatenate k1 || k2 || k3 into a 90-bit integer, k1 most significant."""
-    return (key.k1 << (ID_BITS + K3_BITS)) | (key.k2.value << K3_BITS) | key.k3
-
-
-def unpack_key(packed: int) -> IntegratedKey:
-    """Inverse of pack_key."""
-    if not 0 <= packed < (1 << KEY_BITS):
-        raise ValueError("packed key out of 90-bit range")
-    return IntegratedKey(
-        k1=packed >> (ID_BITS + K3_BITS),
-        k2=SymmetricId((packed >> K3_BITS) & _MASK_ID),
-        k3=packed & _MASK32,
-    )
-
-
-def split_key_halves(key: IntegratedKey) -> tuple[int, int]:
-    """Split the packed key into (upper 45 bits, lower 45 bits).
-
-    The halves are zero-extended to 64-bit seeds for the next block's
-    location and timing words, which is what rolls the key forward.
-    """
-    packed = pack_key(key)
-    return packed >> HALF_BITS, packed & _MASK_HALF
-
-
-def expand_keystream(key: IntegratedKey) -> bytes:
-    """Return the 12-byte block mask: the packed key followed by 6 zero bits."""
-    return (pack_key(key) << PAD_BITS).to_bytes(BLOCK_BYTES, "big")
 
 
 def block_checksum(payload: bytes) -> int:
@@ -184,17 +146,18 @@ class RangingEvidence:
     rtt_max: float
 
     def __post_init__(self):
-        if self.d_radial < 0:
-            raise ValueError(f"negative radial distance: {self.d_radial}")
+        # Written so that NaN fails each check.
+        if not self.d_radial >= 0:
+            raise ValueError(f"radial distance must be >= 0: {self.d_radial}")
         if not 0.0 <= self.aoa < 360.0:
             raise ValueError(f"arrival angle outside [0, 360): {self.aoa}")
         if not 0.0 <= self.aoa_center < 360.0:
             raise ValueError(f"sector center outside [0, 360): {self.aoa_center}")
-        if self.rtt < 0:
-            raise ValueError(f"negative round-trip time: {self.rtt}")
-        if self.d_max <= 0:
+        if not self.rtt >= 0:
+            raise ValueError(f"round-trip time must be >= 0: {self.rtt}")
+        if not self.d_max > 0:
             raise ValueError(f"distance ceiling must be positive: {self.d_max}")
-        if self.rtt_max <= 0:
+        if not self.rtt_max > 0:
             raise ValueError(f"round-trip ceiling must be positive: {self.rtt_max}")
         if not 0.0 < self.aoa_halfwidth <= 180.0:
             raise ValueError(f"sector half-width outside (0, 180]: {self.aoa_halfwidth}")

@@ -9,7 +9,7 @@ and arrival angle all sit inside the verifier's configured envelope.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import RangingEvidence
 
@@ -167,8 +167,10 @@ def evidence_for_link(
 
     The verifier steers its admissible sector onto the measured bearing.
     Noise offsets model shared measurement error; by reciprocity the same
-    perturbed evidence is observed at both endpoints.
+    offset evidence is observed at both endpoints.
     """
+    if not distance >= 0.0:  # NaN fails too; max() below would hide it
+        raise ValueError(f"link distance must be >= 0: {distance}")
     aoa = (bearing + angle_noise) % 360.0
     return RangingEvidence(
         d_radial=max(0.0, distance + distance_noise),
@@ -180,7 +182,3 @@ def evidence_for_link(
         rtt_max=rtt_ceiling(d_max, processing_budget),
     )
 
-
-def perturbed(evidence: RangingEvidence, **changes) -> RangingEvidence:
-    """Copy evidence with selected measurement fields replaced."""
-    return replace(evidence, **changes)

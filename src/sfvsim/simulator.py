@@ -24,7 +24,7 @@ from .adversary import (
     sybil_attempt,
     wormhole_perturb,
 )
-from .model import IdPool, NodeProfile, SymmetricId
+from .model import IdPool, NodeProfile, draw_distinct_ids
 from .protocol import HandshakeConfig, run_handshake
 from .ranging import ScanPlan, evidence_for_link, scan_for_neighbor
 
@@ -69,8 +69,6 @@ class Scenario:
     tx_rate_kbps: float = 1000.0
     packet_size_bytes: int = 512
     node_speed: tuple[float, float] = (5.0, 50.0)
-    mobility: str = "random-waypoint"
-    traffic: str = "cbr"
     sfv_mode: str = "sfv"
     master_seed: int = 1
     queue: QueueModel = QueueModel()
@@ -95,8 +93,6 @@ class Scenario:
     noise_rtt_s: float = 0.0
 
     def __post_init__(self):
-        if self.sfv_mode == "sfv-with-ranging":
-            object.__setattr__(self, "sfv_mode", "sfv-ranging")
         for spec in fields(self):
             value = getattr(self, spec.name)
             parts = value if isinstance(value, tuple) else (value,)
@@ -123,10 +119,6 @@ class Scenario:
         lo, hi = self.node_speed
         if lo < 0 or hi < lo:
             raise ValueError(f"speed range must satisfy 0 <= lo <= hi: {self.node_speed}")
-        if self.mobility != "random-waypoint":
-            raise ValueError(f"unsupported mobility model: {self.mobility!r}")
-        if self.traffic != "cbr":
-            raise ValueError(f"unsupported traffic model: {self.traffic!r}")
         if self.sfv_mode not in SFV_MODES:
             raise ValueError(f"sfv_mode must be one of {SFV_MODES}: {self.sfv_mode!r}")
         if self.flows_per_cluster < 0:
@@ -156,17 +148,10 @@ class Scenario:
         return self.packet_size_bytes * 8
 
 
-def _rect(bounds) -> tuple[float, float, float, float]:
-    if len(bounds) == 2:
-        return 0.0, 0.0, float(bounds[0]), float(bounds[1])
-    x0, y0, x1, y1 = bounds
-    return float(x0), float(y0), float(x1), float(y1)
-
-
 def step_mobility(
     profile: NodeProfile,
     dt: float,
-    terrain,
+    terrain: tuple[float, float, float, float],
     speed_range: tuple[float, float],
     rng_stream: random.Random,
     pause_s: float = 0.0,
@@ -176,11 +161,12 @@ def step_mobility(
     Needing a leg draws exactly three variates (waypoint x, waypoint y,
     speed) so parallel runs consume the stream identically.  Arrival lands
     exactly on the waypoint; the next leg starts on the following step,
-    after any pause.  The position never leaves the given bounds.
+    after any pause.  The position never leaves terrain, the bounds
+    (x0, y0, x1, y1).
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive: {dt}")
-    x0, y0, x1, y1 = _rect(terrain)
+    x0, y0, x1, y1 = terrain
     if profile.pause_remaining > 0:
         return replace(profile, velocity=(0.0, 0.0),
                        pause_remaining=max(0.0, profile.pause_remaining - dt))
@@ -281,13 +267,18 @@ class ScenarioRun:
 
 @dataclass(frozen=True)
 class ScenarioMetrics:
-    """Headline measurements of one run."""
+    """Headline measurements of one run.
+
+    The fields, in declaration order, are the columns of the metrics CSV;
+    a tuple field fills one column, its items joined with ';'.
+    """
 
     mode: str
-    master_seed: int
+    seed: int
     duration_s: float
     tx_rate_kbps: float
-    node_speed: tuple[float, float]
+    node_speed_min: float
+    node_speed_max: float
     generated: int
     delivered: int
     dropped_queue: int
@@ -357,7 +348,7 @@ class _Engine:
     def _build_population(self) -> None:
         sc = self.sc
         self.rects = cluster_rects(sc)
-        self.honest_ids = self._draw_distinct_ids(sc.n_ids, taken=set())
+        self.honest_ids = draw_distinct_ids(self.layout_rng, sc.n_ids, set())
         honest_values = {i.value for i in self.honest_ids}
 
         self.node_id: list[str] = []
@@ -390,7 +381,7 @@ class _Engine:
                 if i in attacker_slots:
                     kind = self._attacker_kind(index)
                     role = "wormhole-endpoint" if kind == "wormhole" else "sybil"
-                    claimed = self._draw_distinct_ids(sc.n_ids, taken)
+                    claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
                     pool = IdPool(list(claimed))
                     self.attacker_kinds[index] = kind
                     if kind == "sybil" or kind == "replay":
@@ -421,7 +412,7 @@ class _Engine:
         if len(wormhole_pending) % 2:
             leftover = wormhole_pending[-1]
             self.attacker_kinds[leftover] = "sybil"
-            claimed = self._draw_distinct_ids(sc.n_ids, taken)
+            claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
             self.sybil_sets[leftover] = SybilIdentitySet(
                 list(claimed), victim=self.node_id[leftover])
 
@@ -444,16 +435,6 @@ class _Engine:
         if sc.attacker_kind == "mixed":
             return "sybil" if index % 2 == 0 else "wormhole"
         return sc.attacker_kind
-
-    def _draw_distinct_ids(self, count: int, taken: set) -> list[SymmetricId]:
-        ids = []
-        while len(ids) < count:
-            value = self.layout_rng.getrandbits(26)
-            if value in taken:
-                continue
-            taken.add(value)
-            ids.append(SymmetricId(value))
-        return ids
 
     def _build_flows(self) -> None:
         sc = self.sc
@@ -866,10 +847,11 @@ def measure_metrics(run: ScenarioRun) -> ScenarioMetrics:
     no_traffic = run.generated == 0
     return ScenarioMetrics(
         mode=sc.sfv_mode,
-        master_seed=sc.master_seed,
+        seed=sc.master_seed,
         duration_s=run.duration_s,
         tx_rate_kbps=sc.tx_rate_kbps,
-        node_speed=sc.node_speed,
+        node_speed_min=sc.node_speed[0],
+        node_speed_max=sc.node_speed[1],
         generated=run.generated,
         delivered=run.delivered,
         dropped_queue=run.dropped_queue,

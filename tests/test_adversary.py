@@ -5,12 +5,11 @@ import random
 
 import pytest
 
+from sfvsim import simulator
 from sfvsim.adversary import (
     ReplayProfile,
     SybilIdentitySet,
     WormholeTunnel,
-    assert_disjoint_identities,
-    capture,
     sample_detection,
     sybil_attempt,
     wormhole_perturb,
@@ -84,16 +83,8 @@ def test_tunnel_validation():
         WormholeTunnel("a", "b", 0.0)
     with pytest.raises(ValueError):
         WormholeTunnel("a", "b", -1e-6)
-
-
-def test_capture_accumulates_evidence():
-    ev = evidence_for_link(100.0, 45.0, 270.0)
-    t0 = tunnel()
-    t1 = capture(t0, ev)
-    t2 = capture(t1, ev)
-    assert t0.capture_buffer == ()
-    assert len(t2.capture_buffer) == 2
-    assert t2.capture_buffer[0] == ev
+    with pytest.raises(ValueError):
+        WormholeTunnel("a", "b", math.nan)
 
 
 # --------------------------------------------------------------------- sybil
@@ -104,12 +95,23 @@ def test_sybil_identities_must_be_unique():
 
 
 def test_disjointness_check():
-    honest = IdPool([SymmetricId(10), SymmetricId(20)])
-    clean = SybilIdentitySet(claimed_ids=[SymmetricId(1), SymmetricId(2)], victim="v")
-    assert_disjoint_identities(clean, honest)
-    overlapping = SybilIdentitySet(claimed_ids=[SymmetricId(20)], victim="v")
-    with pytest.raises(ValueError):
-        assert_disjoint_identities(overlapping, honest)
+    # Every attacker pool and Sybil set the engine draws is disjoint from the
+    # honest IDs and from every other attacker's.  Mixed attackers: sybils,
+    # paired wormhole mouths and an unpaired mouth that falls back to a
+    # sybil with a second claimed set.
+    sc = simulator.Scenario(clusters=2, nodes_per_cluster=20, master_seed=1,
+                  attacker_fraction=0.15, attacker_kind="mixed")
+    engine = simulator._Engine(sc, 1.0)
+    groups = [{i.value for i in engine.honest_ids}]
+    for index in sorted(engine.attacker_kinds):
+        groups.append({i.value for i in engine.node_pool[index].ids})
+        if index in engine.sybil_sets:
+            claimed = {i.value for i in engine.sybil_sets[index].claimed_ids}
+            if claimed != groups[-1]:
+                groups.append(claimed)
+    assert all(len(group) == sc.n_ids for group in groups)
+    assert len(set().union(*groups)) == sc.n_ids * len(groups)
+    assert len(groups) > 1 + len(engine.attacker_kinds)  # the fallback set is in
 
 
 def test_sybil_attempts_all_rejected_and_cursor_cycles():

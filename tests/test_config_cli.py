@@ -341,6 +341,13 @@ def test_cli_handshake_wormhole_suspicious(capsys):
     assert lines[-1] == "verdict,final,,suspicious"
 
 
+def test_cli_handshake_nan_tunnel_latency_exits_2(capsys):
+    assert main(["handshake", "--adversary", "wormhole", "--tunnel-latency", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "tunnel latency" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_handshake_deterministic(capsys):
     assert main(["handshake", "--seed", "8"]) == 0
     first = capsys.readouterr().out

@@ -1,5 +1,6 @@
-"""Golden bytes: the metrics CSV of five short runs and the transcripts of
-six seeded handshake sets, pinned by sha256.
+"""Golden bytes: the metrics CSV of five short runs and of a two-point
+sweep, and the transcripts of six seeded handshake sets and of one CLI
+handshake, pinned by sha256.
 
 Any engine change that moves a simulated number (draw order, float
 arithmetic, scan order) fails here; change a digest only together with a
@@ -9,13 +10,14 @@ time.
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from sfvsim.cli import main
 from sfvsim.model import IdPool, NodeProfile, SymmetricId
 from sfvsim.protocol import HandshakeConfig, run_handshake, transcript_lines
-from sfvsim.ranging import evidence_for_link, perturbed
+from sfvsim.ranging import evidence_for_link
 
 VERIFY_ATTACK_CFG = """\
 clusters = 2
@@ -101,7 +103,27 @@ def test_run_csv_bytes_match_the_recorded_digest(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+# A sweep row carries the `variable,value` prefix columns before the
+# metrics columns.
+def test_sweep_csv_bytes_match_the_recorded_digest(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(DESK_POINT_CFG)
+    argv = ["sweep", "--variable", "tx_rate", "--values", "200,600", "--mode", "sfv",
+            "--seed", "1", "--duration", "10", "--config", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    digest = "596fbf712c6b364d51fbe00078339c007b4119830d6eb2231f33adbd009944ed"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 # ---------------------------------------------------------------- handshakes
+
+def test_cli_sybil_handshake_transcript_matches_the_recorded_digest(capsys):
+    assert main(["handshake", "--seed", "3", "--adversary", "sybil"]) == 0
+    out = capsys.readouterr().out
+    digest = "18a907bde5825ec2281f6acc1b45424a3f95cc205ec95088eabb0136258c3c06"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
 
 HONEST_IDS = (0x3FFFFFF, 0x1234567, 77, 0, 0x2ABCDEF)
 SYBIL_IDS = (5, 0x3000001, 91)
@@ -138,9 +160,9 @@ def _asymmetric(rng):
     for k in range(6):
         ev = _link(rng)
         if k % 2:
-            theirs = perturbed(ev, rtt=ev.rtt + rng.uniform(2e-9, 9e-9))
+            theirs = replace(ev, rtt=ev.rtt + rng.uniform(2e-9, 9e-9))
         else:
-            theirs = perturbed(ev, d_radial=ev.d_radial + rng.uniform(0.02, 0.2))
+            theirs = replace(ev, d_radial=ev.d_radial + rng.uniform(0.02, 0.2))
         calls.append(((a, b, ev, HandshakeConfig(m_blocks=3)), {"responder_evidence": theirs}))
     return calls
 

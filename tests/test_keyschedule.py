@@ -1,6 +1,7 @@
 """Mix functions, seed quantization and the rolling block cipher."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +17,7 @@ from sfvsim.keyschedule import (
     seed_from_location,
     seed_from_rtt,
 )
-from sfvsim.model import (
-    Block,
-    IntegratedKey,
-    RangingEvidence,
-    SymmetricId,
-    expand_keystream,
-)
+from sfvsim.model import Block, RangingEvidence, SymmetricId
 
 
 def evidence(d=0.0, aoa=0.0, rtt=0.0):
@@ -97,8 +92,6 @@ def test_rtt_seed_examples():
 def test_init_session_zero_evidence():
     s = init_session(evidence(), SymmetricId(0), "encryptor")
     assert (s.seed_i, s.seed_n) == (0, 0)
-    assert s.block_index == 0
-    assert s.current_key is None
 
 
 def test_init_session_seeds_match_across_endpoints():
@@ -128,16 +121,36 @@ def test_direction_is_enforced():
 
 # -------------------------------------------------------------------- cipher
 
+def integrated_key(k1, id_value, k3):
+    """The 90-bit key k1 || id || k3, the location word most significant."""
+    return (k1 << 58) | (id_value << 32) | k3
+
+
+def mask(key):
+    """A key's 12-byte block mask: the key, then 6 zero pad bits."""
+    return (key << 6).to_bytes(12, "big")
+
+
 def test_first_block_mask_composition():
     # zero plaintext, zero seeds, id 0: the cipher IS the keystream of
     # (rng1(0), 0, rng2(0) ^ 0); frozen from the oracle run
     sender, _ = session_pair(evidence())
     cipher = encrypt_block(sender, Block(bytes(12)))
-    expected = expand_keystream(
-        IntegratedKey(rng1(0), SymmetricId(0), rng2(0))
-    )
-    assert cipher.data == expected
+    assert cipher.data == mask(integrated_key(rng1(0), 0, rng2(0)))
     assert cipher.data.hex() == "e220a8390000003ebb46c400"
+
+
+def test_first_block_key_layout_and_seed_roll():
+    # A zero plaintext feeds no bits back, so the cipher is the key's mask:
+    # the location word leads, then the 26-bit ID, then the timing word.
+    seed_i, seed_n, id_value = 0x123456789AB, 0x1F2E3D4C5B, 0x2ABCDEF
+    sender = SfvSession(SymmetricId(id_value), "encryptor", seed_i, seed_n)
+    cipher = encrypt_block(sender, Block(bytes(12)))
+    key = integrated_key(rng1(seed_i), id_value, rng2(seed_n))
+    assert cipher.data == mask(key)
+    assert cipher.data.hex() == "27742089aaf37bc68846c940"
+    # The next block's seeds are the key's upper and lower 45 bits.
+    assert (sender.seed_i, sender.seed_n) == (key >> 45, key & (2**45 - 1))
 
 
 def test_round_trip_and_seed_sync_long_session():
@@ -145,7 +158,7 @@ def test_round_trip_and_seed_sync_long_session():
     sender, receiver = session_pair(ev, id_value=0x2ABCDE)
     rng = random.Random(2024)
     seen_key_pairs = set()
-    for index in range(1, 10_001):
+    for _ in range(10_000):
         payload = rng.randbytes(10)
         plain = Block.from_payload(payload)
         # observe the derived (K1, K3) pair before the state rolls
@@ -157,7 +170,6 @@ def test_round_trip_and_seed_sync_long_session():
         recovered = decrypt_block(receiver, cipher)
         assert recovered.data == plain.data
         assert recovered.checksum_ok()
-        assert sender.block_index == receiver.block_index == index
         assert (sender.seed_i, sender.seed_n) == (receiver.seed_i, receiver.seed_n)
     # rolling must not revisit a (K1, K3) pair within one session
     assert len(seen_key_pairs) == 10_000
@@ -244,6 +256,7 @@ def test_exchange_counts_what_the_block_api_verifies(seed_i, seed_n, id_a, id_b,
 
 
 def test_session_state_fields():
+    # The rolling state is the two seeds; nothing else is kept per block.
     s = SfvSession(id=SymmetricId(3), direction="encryptor", seed_i=9, seed_n=8)
-    assert s.block_index == 0
-    assert s.current_key is None
+    assert [f.name for f in fields(s)] == ["id", "direction", "seed_i", "seed_n"]
+    assert (s.id, s.direction, s.seed_i, s.seed_n) == (SymmetricId(3), "encryptor", 9, 8)

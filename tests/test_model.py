@@ -1,30 +1,29 @@
-"""Bit-level packing, checksum and identity-pool tests."""
+"""Identity, ID-draw, key-layout, checksum, block and evidence tests."""
 
+import math
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sfvsim.keyschedule import SfvSession, encrypt_block, rng1, rng2
 from sfvsim.model import (
+    BLOCK_BYTES,
+    HALF_BITS,
+    ID_BITS,
+    K1_BITS,
+    K3_BITS,
+    PAD_BITS,
     Block,
     IdPool,
-    IntegratedKey,
     NodeProfile,
     RangingEvidence,
     SymmetricId,
     block_checksum,
-    expand_keystream,
-    pack_key,
+    draw_distinct_ids,
     select_symmetric_id,
-    split_key_halves,
-    unpack_key,
 )
-
-KEY_ALL_ONES = IntegratedKey(2**32 - 1, SymmetricId(2**26 - 1), 2**32 - 1)
-
-
-def key(k1=0, k2=0, k3=0):
-    return IntegratedKey(k1, SymmetricId(k2), k3)
 
 
 # ---------------------------------------------------------------- identities
@@ -32,7 +31,6 @@ def key(k1=0, k2=0, k3=0):
 def test_symmetric_id_accepts_26_bit_range():
     assert SymmetricId(0).value == 0
     assert SymmetricId(2**26 - 1).value == 2**26 - 1
-    assert int(SymmetricId(42)) == 42
 
 
 @pytest.mark.parametrize("bad", [-1, 2**26, 2**32])
@@ -41,66 +39,96 @@ def test_symmetric_id_rejects_out_of_range(bad):
         SymmetricId(bad)
 
 
-def test_integrated_key_field_ranges():
-    with pytest.raises(ValueError):
-        IntegratedKey(2**32, SymmetricId(0), 0)
-    with pytest.raises(ValueError):
-        IntegratedKey(0, SymmetricId(0), -1)
+def test_draw_distinct_ids_skips_and_extends_taken():
+    # Replay the draws: one getrandbits(26) per try, a taken value skipped.
+    preview = random.Random(7)
+    first = [preview.getrandbits(26) for _ in range(4)]
+    taken = {first[1], 123}
+    rng = random.Random(7)
+    ids = draw_distinct_ids(rng, 3, taken)
+    assert [i.value for i in ids] == [first[0], first[2], first[3]]
+    assert taken == {first[0], first[1], first[2], first[3], 123}
+    assert rng.getstate() == preview.getstate()
+    many = draw_distinct_ids(random.Random(8), 500, set())
+    assert len({i.value for i in many}) == 500
 
 
-# ------------------------------------------------------------------- packing
+# ----------------------------------------------------------------- key layout
+# The integrated key is built, used as a mask and split inside the cipher
+# step: (k1 << 58) | (id << 32) | k3, masked with 6 zero pad bits behind it,
+# its two 45-bit halves the next block's seeds.  The timing word k3 folds in
+# the plaintext's leading 32 bits, so a plaintext that leads with
+# rng2(seed_n) ^ k3 sets it; only the location word k1 = rng1(seed_i) cannot
+# be chosen from outside.
+
+LOW_58 = 2**58 - 1
+
+
+def first_block(seed_i, seed_n, id_value, k3):
+    """Encrypt one block whose timing word comes out as k3.
+
+    Returns the 96-bit mask (cipher XOR plain) and the rolled session.
+    """
+    session = SfvSession(SymmetricId(id_value), "encryptor", seed_i, seed_n)
+    plain = ((rng2(seed_n) ^ k3) << 64).to_bytes(12, "big")
+    cipher = encrypt_block(session, Block(plain))
+    mask = int.from_bytes(cipher.data, "big") ^ int.from_bytes(plain, "big")
+    return mask, session
+
 
 def test_pack_zero_and_all_ones():
-    assert pack_key(key()) == 0
-    assert pack_key(KEY_ALL_ONES) == 2**90 - 1
+    assert K1_BITS + ID_BITS + K3_BITS == 2 * HALF_BITS == 90
+    assert 2 * HALF_BITS + PAD_BITS == BLOCK_BYTES * 8
+    for seed_i in (0, 1, 2**45 - 1):
+        k1 = rng1(seed_i)
+        mask, _ = first_block(seed_i, 5, 0, 0)
+        assert mask >> 6 == k1 << 58
+        mask, _ = first_block(seed_i, 5, 2**26 - 1, 2**32 - 1)
+        assert mask >> 6 == (k1 << 58) | LOW_58
+        assert mask >> 6 < 2**90
 
 
 def test_pack_field_positions():
-    # k1 is most significant: its LSB lands 58 bits up, k2's 32 bits up.
-    assert pack_key(key(k1=1)) == 1 << 58
-    assert pack_key(key(k2=1)) == 1 << 32
-    assert pack_key(key(k3=1)) == 1
-    assert pack_key(key(k1=0x80000000)) == 1 << 89
-
-
-def test_pack_unpack_round_trip_bulk():
-    rng = random.Random(0xC0FFEE)
-    for _ in range(100_000):
-        k = key(rng.getrandbits(32), rng.getrandbits(26), rng.getrandbits(32))
-        packed = pack_key(k)
-        assert packed < 2**90
-        assert unpack_key(packed) == k
+    # k1 is most significant: its LSB lands 58 bits up, the ID's 32 bits up.
+    base, _ = first_block(77, 88, 0, 0)
+    assert (first_block(77, 88, 1, 0)[0] ^ base) >> 6 == 1 << 32
+    assert (first_block(77, 88, 0, 1)[0] ^ base) >> 6 == 1
+    assert base >> 6 == rng1(77) << 58
+    # rng1(0) = 0xE220A839: its top bit is the key's bit 89
+    assert first_block(0, 0, 0, 0)[0] >> 6 >> 89 == 1
 
 
 def test_split_halves_examples():
-    assert split_key_halves(key()) == (0, 0)
-    assert split_key_halves(KEY_ALL_ONES) == (2**45 - 1, 2**45 - 1)
-    # top bit of k1 is the top bit of the first half
-    assert split_key_halves(key(k1=0x80000000)) == (2**44, 0)
+    _, session = first_block(0, 0, 0, 0)
+    assert (session.seed_i, session.seed_n) == (rng1(0) << 13, 0)
+    _, session = first_block(0, 0, 2**26 - 1, 2**32 - 1)
+    assert (session.seed_i, session.seed_n) == ((rng1(0) << 13) | (2**13 - 1), 2**45 - 1)
+    # the top bit of k1 is the top bit of the first half
+    assert session.seed_i >> 44 == rng1(0) >> 31 == 1
 
 
 @given(
-    k1=st.integers(0, 2**32 - 1),
-    k2=st.integers(0, 2**26 - 1),
+    seed_i=st.integers(0, 2**45 - 1),
+    seed_n=st.integers(0, 2**45 - 1),
+    id_value=st.integers(0, 2**26 - 1),
     k3=st.integers(0, 2**32 - 1),
 )
-def test_pack_split_keystream_consistency(k1, k2, k3):
-    k = key(k1, k2, k3)
-    packed = pack_key(k)
-    assert unpack_key(packed) == k
-    seed_i, seed_n = split_key_halves(k)
-    assert seed_i < 2**45 and seed_n < 2**45
-    assert (seed_i << 45) | seed_n == packed
-    mask = expand_keystream(k)
-    assert len(mask) == 12
-    value = int.from_bytes(mask, "big")
-    assert value >> 6 == packed       # top 90 bits are the key itself
-    assert value & 0x3F == 0          # 6-bit zero pad
+def test_pack_split_keystream_consistency(seed_i, seed_n, id_value, k3):
+    mask, session = first_block(seed_i, seed_n, id_value, k3)
+    assert mask & 0x3F == 0  # 6-bit zero pad
+    packed = mask >> 6       # top 90 bits are the key itself
+    assert packed >> 58 == rng1(seed_i)
+    assert (packed >> 32) & (2**26 - 1) == id_value
+    assert packed & (2**32 - 1) == k3
+    assert session.seed_i < 2**45 and session.seed_n < 2**45
+    assert (session.seed_i << 45) | session.seed_n == packed
 
 
 def test_keystream_edge_masks():
-    assert expand_keystream(key()) == bytes(12)
-    assert expand_keystream(KEY_ALL_ONES) == b"\xff" * 11 + b"\xc0"
+    # rng1(0) leads; zero and all-ones ID and timing words fill the rest
+    assert first_block(0, 0, 0, 0)[0].to_bytes(12, "big").hex() == "e220a8390000000000000000"
+    assert (first_block(0, 0, 2**26 - 1, 2**32 - 1)[0].to_bytes(12, "big").hex()
+            == "e220a839ffffffffffffffc0")
 
 
 # ------------------------------------------------------------------ checksum
@@ -212,6 +240,10 @@ def test_evidence_field_validation():
         RangingEvidence(100.0, 45.0, 1e-6, 230.0, 45.0, 0.0, 7e-6)
     with pytest.raises(ValueError):
         RangingEvidence(100.0, 45.0, 1e-6, 230.0, 45.0, 45.0, 0.0)
+    # NaN fails every range check, so it cannot slip past the gates
+    for spec in fields(RangingEvidence):
+        with pytest.raises(ValueError):
+            replace(good, **{spec.name: math.nan})
 
 
 def test_node_profile_role_validation():

@@ -1,6 +1,7 @@
 """Two-phase link verification: threshold gate, block exchange, verdicts."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from sfvsim.protocol import (
     run_handshake,
     transcript_lines,
 )
-from sfvsim.ranging import REASON_DISTANCE, evidence_for_link, perturbed
+from sfvsim.ranging import REASON_DISTANCE, evidence_for_link
 
 
 def make_node(name, ids, role="honest"):
@@ -27,7 +28,7 @@ def friendly_pair(ids=(10, 20, 30)):
 
 
 GOOD = evidence_for_link(150.0, 30.0, 230.0)
-FAR = perturbed(GOOD, d_radial=500.0)
+FAR = replace(GOOD, d_radial=500.0)
 
 
 # ----------------------------------------------------------------- contracts
@@ -139,7 +140,7 @@ def test_asymmetric_measurement_fails_without_id_blame():
     # same credential pool, but the responder quantizes a different RTT:
     # seeds diverge, the first block garbles, and no forged id is implied
     a, b = friendly_pair()
-    responder_view = perturbed(GOOD, rtt=GOOD.rtt + 5e-9)
+    responder_view = replace(GOOD, rtt=GOOD.rtt + 5e-9)
     verdict = run_handshake(a, b, GOOD, rng=random.Random(7),
                             responder_evidence=responder_view)
     assert not verdict.friendly

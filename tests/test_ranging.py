@@ -17,7 +17,6 @@ from sfvsim.ranging import (
     TimestampSet,
     angular_distance,
     evidence_for_link,
-    perturbed,
     radial_distance,
     round_trip_time,
     rtt_ceiling,
@@ -194,9 +193,8 @@ def test_evidence_for_link_noise_offsets():
     assert ev.rtt == pytest.approx(2 * 150 / LIGHTSPEED + 1e-7)
 
 
-def test_perturbed_replaces_fields():
-    ev = evidence_for_link(100.0, 90.0, 270.0)
-    moved = perturbed(ev, d_radial=500.0)
-    assert moved.d_radial == 500.0
-    assert moved.rtt == ev.rtt
-    assert math.isclose(moved.aoa, ev.aoa)
+def test_evidence_for_link_rejects_a_nan_distance():
+    # max(0.0, nan) is 0.0, so a NaN distance used to measure as 0 m
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="distance"):
+            evidence_for_link(bad, 0.0, 230.0)

@@ -12,6 +12,7 @@ import pytest
 from sfvsim import simulator
 from sfvsim.model import IdPool, NodeProfile, SymmetricId
 from sfvsim.simulator import (
+    SFV_MODES,
     QueueModel,
     Scenario,
     cluster_rects,
@@ -22,7 +23,7 @@ from sfvsim.simulator import (
 
 from conftest import MODES, SPEEDS, rate_scenario
 
-TERRAIN = (300.0, 300.0)
+TERRAIN = (0.0, 0.0, 300.0, 300.0)  # x0, y0, x1, y1
 SPEED_RANGE = (5.0, 50.0)
 
 
@@ -73,8 +74,8 @@ def test_step_draws_exactly_three_variates_per_leg():
     shadow = random.Random(77)
     node = roamer(position=(150.0, 150.0))
     step_mobility(node, 0.025, TERRAIN, SPEED_RANGE, rng)
-    shadow.uniform(0.0, TERRAIN[0])
-    shadow.uniform(0.0, TERRAIN[1])
+    shadow.uniform(TERRAIN[0], TERRAIN[2])
+    shadow.uniform(TERRAIN[1], TERRAIN[3])
     shadow.uniform(*SPEED_RANGE)
     assert rng.getstate() == shadow.getstate()
 
@@ -90,21 +91,21 @@ def test_walk_stays_inside_terrain():
     for _ in range(4_000):
         node = step_mobility(node, 0.025, TERRAIN, SPEED_RANGE, rng)
         x, y = node.position
-        assert 0.0 <= x <= TERRAIN[0]
-        assert 0.0 <= y <= TERRAIN[1]
+        assert TERRAIN[0] <= x <= TERRAIN[2]
+        assert TERRAIN[1] <= y <= TERRAIN[3]
 
 
 def test_long_walk_concentrates_toward_center():
     # well-known waypoint bias: time-averaged positions pull to the middle
     rng = random.Random(11)
     node = roamer(position=(0.0, 0.0))
-    center = (TERRAIN[0] / 2, TERRAIN[1] / 2)
+    center = (150.0, 150.0)
     distances = []
     for _ in range(40_000):
         node = step_mobility(node, 0.025, TERRAIN, SPEED_RANGE, rng)
         distances.append(math.dist(node.position, center))
     # uniform placement would average ~0.3826 * side on a square
-    uniform_mean = 0.3826 * TERRAIN[0]
+    uniform_mean = 0.3826 * 300.0
     assert statistics.fmean(distances) < 0.9 * uniform_mean
 
 
@@ -214,8 +215,13 @@ def test_zero_traffic_flagged():
 
 
 def test_mode_alias_normalized():
-    sc = desk(sfv_mode="sfv-with-ranging")
-    assert sc.sfv_mode == "sfv-ranging"
+    # sfv_mode has no aliases: each of the three modes is kept as spelled,
+    # and the old "sfv-with-ranging" spelling is rejected, not mapped.
+    assert len(SFV_MODES) == 3
+    for mode in SFV_MODES:
+        assert desk(sfv_mode=mode).sfv_mode == mode
+    with pytest.raises(ValueError, match="sfv-with-ranging"):
+        desk(sfv_mode="sfv-with-ranging")
 
 
 def test_throughput_never_exceeds_offered_load():
@@ -231,7 +237,7 @@ def test_throughput_never_exceeds_offered_load():
     dict(nodes_per_cluster=0),
     dict(node_speed=(10.0, 5.0)),
     dict(radio_ranges=(250.0, 230.0)),
-    dict(mobility="brownian"),
+    dict(sfv_mode="sfv-with-ranging"),
     dict(attacker_fraction=1.5),
     dict(attacker_kind="replay"),  # needs a replay profile
     dict(discovery_interval_s=0.0),
