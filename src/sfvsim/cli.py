@@ -28,7 +28,7 @@ from .config import build_scenario, load_config
 from .model import IdPool, KEY_BITS, NodeProfile, draw_distinct_ids
 from .protocol import HandshakeConfig, handshake_transcript, transcript_lines
 from .ranging import evidence_for_link
-from .simulator import SFV_MODES, ScenarioMetrics, measure_metrics, run_scenario
+from .simulator import SFV_MODES, ScenarioMetrics, run_scenario
 
 
 def _metrics_record(metrics: ScenarioMetrics) -> dict:
@@ -51,8 +51,8 @@ def _cmd_run(args) -> int:
         sfv_mode=args.mode,
         duration_s=args.duration,
     )
-    run = run_scenario(scenario, duration)
-    emit_csv([_metrics_record(measure_metrics(run))], args.out or sys.stdout)
+    metrics = run_scenario(scenario, duration)
+    emit_csv([_metrics_record(metrics)], args.out or sys.stdout)
     return 0
 
 
@@ -97,7 +97,7 @@ def _cmd_sweep(args) -> int:
                 overrides["node_speed_min"] = float(value)
                 overrides["node_speed_max"] = float(value)
             scenario, duration = build_scenario(options, **overrides)
-            metrics = measure_metrics(run_scenario(scenario, duration))
+            metrics = run_scenario(scenario, duration)
             record = {"variable": args.variable, "value": float(value)}
             record.update(_metrics_record(metrics))
             records.append(record)

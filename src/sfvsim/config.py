@@ -1,15 +1,19 @@
 """Flat `key = value` scenario configuration files.
 
-Blank lines and `#` comments are ignored.  Every key is optional and maps
-onto one scenario knob; unknown keys are rejected so typos fail loudly.
-List-valued keys take comma-separated entries.
+Blank lines and `#` comments are ignored.  Every key is optional.  The
+keys are the field names of Scenario and of its nested HandshakeConfig and
+ReplayProfile, plus duration_s and detection_probability; unknown keys are
+rejected so typos fail loudly.  List-valued keys take comma-separated
+entries.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .adversary import ReplayProfile
 from .protocol import HandshakeConfig
-from .simulator import QueueModel, Scenario
+from .simulator import Scenario
 
 
 def _parse_bool(text: str) -> bool:
@@ -25,48 +29,20 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
+# Field annotations (strings under postponed evaluation) to value parsers.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple[float, ...]": _parse_float_list}
+_HANDSHAKE_KEYS = tuple(spec.name for spec in fields(HandshakeConfig))
+_REPLAY_KEYS = tuple(spec.name for spec in fields(ReplayProfile))
+
+# The nested handshake and replay_profile fields take their own fields' keys.
 _SCHEMA = {
-    "terrain_width": float,
-    "terrain_height": float,
-    "clusters": int,
-    "cluster_width": float,
-    "cluster_height": float,
-    "nodes_per_cluster": int,
-    "radio_ranges": _parse_float_list,
-    "tx_rate_kbps": float,
-    "packet_size_bytes": int,
-    "node_speed_min": float,
-    "node_speed_max": float,
-    "sfv_mode": str,
-    "master_seed": int,
-    "duration_s": float,
-    "queue_capacity": int,
-    "channel_capacity_kbps": float,
-    "flows_per_cluster": int,
-    "m_blocks": int,
-    "n_ranging": int,
-    "retry_limit": int,
-    "n_ids": int,
-    "processing_budget_s": float,
-    "aoa_halfwidth_deg": float,
-    "handshake_base_s": float,
-    "handshake_attempt_extra_s": float,
-    "mobility_step_s": float,
-    "discovery_interval_s": float,
-    "pause_s": float,
-    "attacker_fraction": float,
-    "attacker_kind": str,
-    "attack_interval_s": float,
-    "tunnel_latency_s": float,
-    "p_wormhole": float,
-    "p_id_replay": float,
-    "p_rtt_replay": float,
-    "detection_probability": float,
-    "neighbor_verification": _parse_bool,
-    "noise_distance_m": float,
-    "noise_angle_deg": float,
-    "noise_rtt_s": float,
+    spec.name: _PARSERS[spec.type]
+    for cls in (Scenario, HandshakeConfig, ReplayProfile)
+    for spec in fields(cls)
+    if spec.name not in ("handshake", "replay_profile")
 }
+_SCHEMA.update(duration_s=float, detection_probability=float)
 
 
 def parse_config_text(text: str) -> dict:
@@ -112,45 +88,17 @@ def build_scenario(options: dict, **overrides) -> tuple[Scenario, float]:
             raise ValueError(f"unknown configuration key {key!r}")
         merged[key] = value
 
-    defaults = Scenario()
     duration = merged.pop("duration_s", 60.0)
-
-    def take(key, fallback):
-        return merged.pop(key, fallback)
-
-    terrain = (take("terrain_width", defaults.terrain[0]),
-               take("terrain_height", defaults.terrain[1]))
-    cluster_size = (take("cluster_width", defaults.cluster_size[0]),
-                    take("cluster_height", defaults.cluster_size[1]))
-    node_speed = (take("node_speed_min", defaults.node_speed[0]),
-                  take("node_speed_max", defaults.node_speed[1]))
-    queue = QueueModel(
-        capacity=take("queue_capacity", defaults.queue.capacity),
-        service_rate_kbps=take("channel_capacity_kbps", defaults.queue.service_rate_kbps),
-    )
-    handshake = HandshakeConfig(
-        m_blocks=take("m_blocks", defaults.handshake.m_blocks),
-        n_ranging=take("n_ranging", defaults.handshake.n_ranging),
-        retry_limit=take("retry_limit", defaults.handshake.retry_limit),
-    )
+    handshake = HandshakeConfig(**{k: merged.pop(k) for k in _HANDSHAKE_KEYS if k in merged})
 
     replay_profile = None
-    explicit = [merged.pop(k, None) for k in ("p_wormhole", "p_id_replay", "p_rtt_replay")]
+    explicit = {k: merged.pop(k) for k in _REPLAY_KEYS if k in merged}
     target = merged.pop("detection_probability", None)
-    if any(p is not None for p in explicit):
-        if any(p is None for p in explicit):
+    if explicit:
+        if len(explicit) < len(_REPLAY_KEYS):
             raise ValueError("replay profile needs all of p_wormhole, p_id_replay, p_rtt_replay")
-        replay_profile = ReplayProfile(*explicit)
+        replay_profile = ReplayProfile(**explicit)
     elif target is not None:
         replay_profile = ReplayProfile.calibrated(target)
 
-    scenario = Scenario(
-        terrain=terrain,
-        cluster_size=cluster_size,
-        node_speed=node_speed,
-        queue=queue,
-        handshake=handshake,
-        replay_profile=replay_profile,
-        **merged,
-    )
-    return scenario, duration
+    return Scenario(handshake=handshake, replay_profile=replay_profile, **merged), duration

@@ -14,7 +14,7 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .adversary import (
     ReplayProfile,
@@ -32,46 +32,33 @@ SFV_MODES = ("off", "sfv", "sfv-ranging")
 
 
 @dataclass(frozen=True)
-class QueueModel:
-    """Per-flow FIFO queue drained by the shared cluster channel.
-
-    capacity counts queued packets including the one in service;
-    service_rate_kbps is the channel transmission rate packets drain at.
-    """
-
-    capacity: int = 50
-    service_rate_kbps: float = 1200.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.service_rate_kbps):
-            raise ValueError(f"service rate must be finite: {self.service_rate_kbps}")
-        if self.capacity < 1:
-            raise ValueError(f"queue capacity must be at least 1: {self.capacity}")
-        if self.service_rate_kbps <= 0:
-            raise ValueError(f"service rate must be positive: {self.service_rate_kbps}")
-
-
-@dataclass(frozen=True)
 class Scenario:
     """A complete simulation configuration.
 
     The defaults describe the reference deployment: a 3000 x 3000 m
     terrain holding ten 300 x 300 m clusters of eighty nodes, selectable
     radio ranges of 230/250/270 m, 512-byte constant-rate traffic and
-    random-waypoint speeds of 5 to 50 m/s.
+    random-waypoint speeds of 5 to 50 m/s.  Each cluster's flows hold
+    FIFO queues of queue_capacity packets, the one in service included,
+    drained by a shared channel at channel_capacity_kbps.  The field
+    names are the configuration file's keys.
     """
 
-    terrain: tuple[float, float] = (3000.0, 3000.0)
+    terrain_width: float = 3000.0
+    terrain_height: float = 3000.0
     clusters: int = 10
-    cluster_size: tuple[float, float] = (300.0, 300.0)
+    cluster_width: float = 300.0
+    cluster_height: float = 300.0
     nodes_per_cluster: int = 80
     radio_ranges: tuple[float, ...] = (230.0, 250.0, 270.0)
     tx_rate_kbps: float = 1000.0
     packet_size_bytes: int = 512
-    node_speed: tuple[float, float] = (5.0, 50.0)
+    node_speed_min: float = 5.0
+    node_speed_max: float = 50.0
     sfv_mode: str = "sfv"
     master_seed: int = 1
-    queue: QueueModel = QueueModel()
+    queue_capacity: int = 50
+    channel_capacity_kbps: float = 1200.0
     flows_per_cluster: int = 2
     handshake: HandshakeConfig = HandshakeConfig()
     n_ids: int = 6
@@ -98,50 +85,39 @@ class Scenario:
             parts = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
                 raise ValueError(f"{spec.name} must be finite: {value}")
-        if self.terrain[0] <= 0 or self.terrain[1] <= 0:
-            raise ValueError(f"terrain must be positive: {self.terrain}")
-        if self.cluster_size[0] <= 0 or self.cluster_size[1] <= 0:
-            raise ValueError(f"cluster size must be positive: {self.cluster_size}")
-        if self.clusters < 1:
-            raise ValueError(f"need at least one cluster: {self.clusters}")
-        if self.nodes_per_cluster < 1:
-            raise ValueError(f"need at least one node per cluster: {self.nodes_per_cluster}")
+        for name in ("clusters", "nodes_per_cluster", "packet_size_bytes",
+                     "queue_capacity", "n_ids"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1: {getattr(self, name)}")
+        for name in ("terrain_width", "terrain_height", "cluster_width", "cluster_height",
+                     "channel_capacity_kbps", "mobility_step_s", "discovery_interval_s",
+                     "attack_interval_s", "handshake_base_s", "tunnel_latency_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive: {getattr(self, name)}")
+        for name in ("tx_rate_kbps", "node_speed_min", "flows_per_cluster",
+                     "processing_budget_s", "handshake_attempt_extra_s", "pause_s",
+                     "noise_distance_m", "noise_angle_deg", "noise_rtt_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative: {getattr(self, name)}")
+        if self.node_speed_max < self.node_speed_min:
+            raise ValueError(f"node_speed_max must be at least node_speed_min: "
+                             f"{self.node_speed_max} < {self.node_speed_min}")
+        if not 0.0 < self.aoa_halfwidth_deg <= 180.0:
+            raise ValueError(f"aoa_halfwidth_deg must lie in (0, 180]: {self.aoa_halfwidth_deg}")
         if not self.radio_ranges:
             raise ValueError("need at least one radio range")
         if any(b <= a for a, b in zip(self.radio_ranges, self.radio_ranges[1:])):
             raise ValueError(f"radio ranges must be strictly increasing: {self.radio_ranges}")
         if self.radio_ranges[0] <= 0:
             raise ValueError(f"radio ranges must be positive: {self.radio_ranges}")
-        if self.tx_rate_kbps < 0:
-            raise ValueError(f"traffic rate cannot be negative: {self.tx_rate_kbps}")
-        if self.packet_size_bytes < 1:
-            raise ValueError(f"packet size must be positive: {self.packet_size_bytes}")
-        lo, hi = self.node_speed
-        if lo < 0 or hi < lo:
-            raise ValueError(f"speed range must satisfy 0 <= lo <= hi: {self.node_speed}")
         if self.sfv_mode not in SFV_MODES:
             raise ValueError(f"sfv_mode must be one of {SFV_MODES}: {self.sfv_mode!r}")
-        if self.flows_per_cluster < 0:
-            raise ValueError(f"flow count cannot be negative: {self.flows_per_cluster}")
-        if self.n_ids < 1:
-            raise ValueError(f"pools need at least one id: {self.n_ids}")
         if not 0.0 <= self.attacker_fraction <= 1.0:
             raise ValueError(f"attacker fraction must lie in [0, 1]: {self.attacker_fraction}")
         if self.attacker_kind not in ("sybil", "wormhole", "replay", "mixed"):
             raise ValueError(f"unknown attacker kind: {self.attacker_kind!r}")
         if self.attacker_kind == "replay" and self.attacker_fraction > 0 and self.replay_profile is None:
             raise ValueError("replay attackers need a replay_profile")
-        for name, value in (
-            ("mobility_step_s", self.mobility_step_s),
-            ("discovery_interval_s", self.discovery_interval_s),
-            ("attack_interval_s", self.attack_interval_s),
-            ("handshake_base_s", self.handshake_base_s),
-            ("tunnel_latency_s", self.tunnel_latency_s),
-        ):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive: {value}")
-        if self.handshake_attempt_extra_s < 0:
-            raise ValueError("handshake_attempt_extra_s cannot be negative")
 
     @property
     def packet_bits(self) -> int:
@@ -197,10 +173,10 @@ def cluster_rects(scenario: Scenario) -> list[tuple[float, float, float, float]]
     """Deterministic cluster placement: a grid of cells, rects centered."""
     cols = math.ceil(math.sqrt(scenario.clusters))
     rows = math.ceil(scenario.clusters / cols)
-    cell_w = scenario.terrain[0] / cols
-    cell_h = scenario.terrain[1] / rows
-    w = min(scenario.cluster_size[0], cell_w)
-    h = min(scenario.cluster_size[1], cell_h)
+    cell_w = scenario.terrain_width / cols
+    cell_h = scenario.terrain_height / rows
+    w = min(scenario.cluster_width, cell_w)
+    h = min(scenario.cluster_height, cell_h)
     rects = []
     for index in range(scenario.clusters):
         cx = (index % cols + 0.5) * cell_w
@@ -243,26 +219,6 @@ class _Channel:
         self.job = None
         self.control: deque = deque()
         self.rr = 0
-
-
-@dataclass
-class ScenarioRun:
-    """Raw tallies of one finished simulation."""
-
-    scenario: Scenario
-    duration_s: float
-    generated: int = 0
-    delivered: int = 0
-    dropped_queue: int = 0
-    dropped_range: int = 0
-    in_flight: int = 0
-    total_delay_s: float = 0.0
-    handshakes: int = 0
-    scan_attempts: int = 0
-    friendly_nodes: list = field(default_factory=list)    # one set per cluster
-    suspicious_nodes: list = field(default_factory=list)  # one set per cluster
-    attack_attempts: int = 0
-    attacks_detected: int = 0
 
 
 @dataclass(frozen=True)
@@ -326,18 +282,20 @@ class _Engine:
         self.heap: list = []
         self.seq = 0
         self.now = 0.0
-        self.run = ScenarioRun(scenario, self.duration)
-        self.run.friendly_nodes = [set() for _ in range(scenario.clusters)]
-        self.run.suspicious_nodes = [set() for _ in range(scenario.clusters)]
+        self.handshakes = 0
+        self.scan_attempts = 0
+        self.attack_attempts = 0
+        self.attacks_detected = 0
 
         self.max_range = scenario.radio_ranges[-1]
         self.scan_plan = ScanPlan(scenario.radio_ranges, ranging=scenario.sfv_mode == "sfv-ranging")
-        self.data_time = scenario.packet_bits / (scenario.queue.service_rate_kbps * 1000.0)
+        self.data_time = scenario.packet_bits / (scenario.channel_capacity_kbps * 1000.0)
         self.gen_interval = (
             scenario.packet_bits / (scenario.tx_rate_kbps * 1000.0)
             if scenario.tx_rate_kbps > 0 else None
         )
         self.epoch_every = max(1, round(scenario.discovery_interval_s / scenario.mobility_step_s))
+        self.speed_range = (scenario.node_speed_min, scenario.node_speed_max)
 
         self._build_population()
         self._build_flows()
@@ -360,7 +318,6 @@ class _Engine:
         self.node_rect: list[tuple] = []
         self.attacker_kinds: dict[int, str] = {}
         self.sybil_sets: dict[int, SybilIdentitySet] = {}
-        self.tunnels: dict[int, float] = {}  # node index -> tunnel latency
         self.honest_by_cluster: list[list[int]] = [[] for _ in range(sc.clusters)]
 
         per_cluster_attackers = round(sc.attacker_fraction * sc.nodes_per_cluster)
@@ -403,12 +360,11 @@ class _Engine:
         self.vy: list[float] = [0.0] * count
         self.waypoint: list[tuple[float, float] | None] = [None] * count
         self.pause: list[float] = [0.0] * count
+        # None until a node is first verified; False, once flagged, for good.
+        self.verdict: list[bool | None] = [None] * count
 
         # Wormhole endpoints pair up in discovery order; an unpaired
         # leftover falls back to sybil behavior.
-        for a, b in zip(wormhole_pending[0::2], wormhole_pending[1::2]):
-            self.tunnels[a] = sc.tunnel_latency_s
-            self.tunnels[b] = sc.tunnel_latency_s
         if len(wormhole_pending) % 2:
             leftover = wormhole_pending[-1]
             self.attacker_kinds[leftover] = "sybil"
@@ -511,12 +467,8 @@ class _Engine:
         )
 
     def _record_verdict(self, node_index: int, friendly: bool) -> None:
-        cluster = self.node_cluster[node_index]
-        node_id = self.node_id[node_index]
-        if friendly:
-            self.run.friendly_nodes[cluster].add(node_id)
-        else:
-            self.run.suspicious_nodes[cluster].add(node_id)
+        if self.verdict[node_index] is not False:
+            self.verdict[node_index] = friendly
 
     # ------------------------------------------------------------------ handlers
 
@@ -533,7 +485,7 @@ class _Engine:
         heap = self.heap
         handlers = self._HANDLERS
         channels = self.channels
-        capacity = self.sc.queue.capacity
+        capacity = self.sc.queue_capacity
         next_time = (tick + 1) * self.gen_interval
         more = next_time <= self.duration
         for flow in self.flows:
@@ -601,7 +553,7 @@ class _Engine:
             self.payload_rng,
         )
         flow.handshaking = False
-        self.run.handshakes += 1
+        self.handshakes += 1
         self._record_verdict(flow.dst, verdict.friendly)
         if verdict.friendly:
             flow.selected_range = selected
@@ -644,7 +596,7 @@ class _Engine:
             waypoint = waypoints[i]
             if waypoint is None:  # a node keeps no waypoint while it pauses
                 moved = step_mobility(self._profile(i), dt, self.node_rect[i],
-                                      sc.node_speed, self.mobility_rng, sc.pause_s)
+                                      self.speed_range, self.mobility_rng, sc.pause_s)
                 xs[i], ys[i] = moved.position
                 vxs[i], vys[i] = moved.velocity
                 waypoints[i] = moved.waypoint
@@ -677,7 +629,7 @@ class _Engine:
                 flow.connected = True
             return
         scan = scan_for_neighbor(self.scan_plan, distance)
-        self.run.scan_attempts += scan.attempts
+        self.scan_attempts += scan.attempts
         if scan.selected_range is None:
             return
         evidence = self._evidence(flow.src, flow.dst, scan.selected_range)
@@ -730,7 +682,7 @@ class _Engine:
                 self.sc.handshake,
                 self.payload_rng,
             )
-            self.run.handshakes += 1
+            self.handshakes += 1
             self._record_verdict(target, verdict.friendly)
         else:
             self._attack_verdict(verifier, target, kind, record_attempt=False)
@@ -760,18 +712,17 @@ class _Engine:
                         record_attempt: bool) -> None:
         sc = self.sc
         if record_attempt:
-            self.run.attack_attempts += 1
+            self.attack_attempts += 1
         if kind == "replay":
             detected = any(
                 sample_detection(sc.replay_profile, self.attack_rng)
                 for _ in range(sc.n_ids)
             )
         elif kind == "wormhole":
-            latency = self.tunnels.get(attacker, sc.tunnel_latency_s)
             tunnel = WormholeTunnel(
                 endpoint_a=self.node_id[attacker],
                 endpoint_b=f"{self.node_id[attacker]}-far",
-                tunnel_latency=latency,
+                tunnel_latency=sc.tunnel_latency_s,
             )
             distance = self._distance(victim, attacker)
             scan = scan_for_neighbor(self.scan_plan, distance)
@@ -799,7 +750,7 @@ class _Engine:
             )
             detected = not verdict.friendly
         if record_attempt and detected:
-            self.run.attacks_detected += 1
+            self.attacks_detected += 1
         self._record_verdict(attacker, friendly=not detected)
 
     # ------------------------------------------------------------------ loop
@@ -809,7 +760,7 @@ class _Engine:
     _HANDLERS = {"tick": _handle_tick, "svc": _handle_svc,
                  "mob": _handle_mob, "atk": _handle_atk}
 
-    def execute(self) -> ScenarioRun:
+    def execute(self) -> ScenarioMetrics:
         handlers = self._HANDLERS
         heap = self.heap
         while heap:
@@ -818,57 +769,53 @@ class _Engine:
                 break
             self.now = time
             handlers[kind](self, payload)
-        self._collect()
-        return self.run
 
-    def _collect(self) -> None:
-        run = self.run
+        sc = self.sc
+        generated = delivered = dropped_queue = dropped_range = in_flight = 0
+        total_delay = 0.0  # += in flow order; sum() rounds differently from Python 3.12 on
         for flow in self.flows:
-            run.generated += flow.generated
-            run.delivered += flow.delivered
-            run.dropped_queue += flow.dropped_queue
-            run.dropped_range += flow.dropped_range
-            run.in_flight += len(flow.queue)
-            run.total_delay_s += flow.total_delay
-        # A node flagged even once stays suspicious; drop it from friendly.
-        for cluster in range(self.sc.clusters):
-            run.friendly_nodes[cluster] -= run.suspicious_nodes[cluster]
+            generated += flow.generated
+            delivered += flow.delivered
+            dropped_queue += flow.dropped_queue
+            dropped_range += flow.dropped_range
+            in_flight += len(flow.queue)
+            total_delay += flow.total_delay
+        friendly = [0] * sc.clusters
+        suspicious = [0] * sc.clusters
+        for cluster, verdict in zip(self.node_cluster, self.verdict):
+            if verdict is True:
+                friendly[cluster] += 1
+            elif verdict is False:
+                suspicious[cluster] += 1
+        no_traffic = generated == 0
+        return ScenarioMetrics(
+            mode=sc.sfv_mode,
+            seed=sc.master_seed,
+            duration_s=self.duration,
+            tx_rate_kbps=sc.tx_rate_kbps,
+            node_speed_min=sc.node_speed_min,
+            node_speed_max=sc.node_speed_max,
+            generated=generated,
+            delivered=delivered,
+            dropped_queue=dropped_queue,
+            dropped_range=dropped_range,
+            in_flight=in_flight,
+            throughput_kbps=delivered * sc.packet_bits / self.duration / 1000.0,
+            mean_delay_s=total_delay / delivered if delivered else 0.0,
+            pdr=1.0 if no_traffic else delivered / generated,
+            no_traffic=no_traffic,
+            handshakes=self.handshakes,
+            scan_attempts=self.scan_attempts,
+            friendly_per_cluster=tuple(friendly),
+            suspicious_per_cluster=tuple(suspicious),
+            attack_attempts=self.attack_attempts,
+            attacks_detected=self.attacks_detected,
+            empirical_detection_rate=(
+                self.attacks_detected / self.attack_attempts if self.attack_attempts else 0.0
+            ),
+        )
 
 
-def run_scenario(scenario: Scenario, duration_s: float = 60.0) -> ScenarioRun:
-    """Simulate the scenario for the given span and return its tallies."""
+def run_scenario(scenario: Scenario, duration_s: float = 60.0) -> ScenarioMetrics:
+    """Simulate the scenario for the given span and return its metrics."""
     return _Engine(scenario, duration_s).execute()
-
-
-def measure_metrics(run: ScenarioRun) -> ScenarioMetrics:
-    """Reduce raw tallies to headline metrics."""
-    sc = run.scenario
-    delivered_bits = run.delivered * sc.packet_bits
-    no_traffic = run.generated == 0
-    return ScenarioMetrics(
-        mode=sc.sfv_mode,
-        seed=sc.master_seed,
-        duration_s=run.duration_s,
-        tx_rate_kbps=sc.tx_rate_kbps,
-        node_speed_min=sc.node_speed[0],
-        node_speed_max=sc.node_speed[1],
-        generated=run.generated,
-        delivered=run.delivered,
-        dropped_queue=run.dropped_queue,
-        dropped_range=run.dropped_range,
-        in_flight=run.in_flight,
-        throughput_kbps=delivered_bits / run.duration_s / 1000.0,
-        mean_delay_s=run.total_delay_s / run.delivered if run.delivered else 0.0,
-        pdr=1.0 if no_traffic else run.delivered / run.generated,
-        no_traffic=no_traffic,
-        handshakes=run.handshakes,
-        scan_attempts=run.scan_attempts,
-        friendly_per_cluster=tuple(len(s) for s in run.friendly_nodes),
-        suspicious_per_cluster=tuple(len(s) for s in run.suspicious_nodes),
-        attack_attempts=run.attack_attempts,
-        attacks_detected=run.attacks_detected,
-        empirical_detection_rate=(
-            run.attacks_detected / run.attack_attempts if run.attack_attempts else 0.0
-        ),
-    )
-

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from sfvsim import Scenario, measure_metrics, run_scenario
+from sfvsim import Scenario, run_scenario
 
 MODES = ("off", "sfv", "sfv-ranging")
 RATES = (200.0, 600.0, 1200.0, 2000.0)
@@ -21,11 +21,11 @@ DESK_DURATION = 60.0
 # desk scale; both sweeps run the channel at saturation so delivered
 # traffic is governed by channel time, not by where nodes happen to roam
 RATE_SWEEP_KW = dict(
-    clusters=2, nodes_per_cluster=20, cluster_size=(400.0, 400.0),
+    clusters=2, nodes_per_cluster=20, cluster_width=400.0, cluster_height=400.0,
     flows_per_cluster=4, handshake_base_s=0.02, handshake_attempt_extra_s=0.01,
 )
 SPEED_SWEEP_KW = dict(
-    clusters=2, nodes_per_cluster=20, cluster_size=(300.0, 300.0),
+    clusters=2, nodes_per_cluster=20, cluster_width=300.0, cluster_height=300.0,
     flows_per_cluster=6, tx_rate_kbps=400.0,
     handshake_base_s=0.02, handshake_attempt_extra_s=0.01,
 )
@@ -37,7 +37,8 @@ def rate_scenario(seed: int, mode: str, rate: float) -> Scenario:
 
 
 def speed_scenario(seed: int, mode: str, speed: float) -> Scenario:
-    return Scenario(master_seed=seed, sfv_mode=mode, node_speed=(speed, speed),
+    return Scenario(master_seed=seed, sfv_mode=mode, node_speed_min=speed,
+                    node_speed_max=speed,
                     **SPEED_SWEEP_KW)
 
 
@@ -53,7 +54,7 @@ def rate_sweep(sweep_timings):
     data = {
         mode: {
             rate: [
-                measure_metrics(run_scenario(rate_scenario(seed, mode, rate), DESK_DURATION))
+                run_scenario(rate_scenario(seed, mode, rate), DESK_DURATION)
                 for seed in SEEDS
             ]
             for rate in RATES
@@ -71,7 +72,7 @@ def speed_sweep(sweep_timings):
     data = {
         mode: {
             speed: [
-                measure_metrics(run_scenario(speed_scenario(seed, mode, speed), DESK_DURATION))
+                run_scenario(speed_scenario(seed, mode, speed), DESK_DURATION)
                 for seed in SEEDS
             ]
             for speed in SPEEDS
@@ -89,7 +90,5 @@ def saturation_runs_20(rate_sweep):
     data = {mode: list(rate_sweep[mode][top]) for mode in MODES}
     for seed in range(11, 21):
         for mode in MODES:
-            data[mode].append(
-                measure_metrics(run_scenario(rate_scenario(seed, mode, top), DESK_DURATION))
-            )
+            data[mode].append(run_scenario(rate_scenario(seed, mode, top), DESK_DURATION))
     return data

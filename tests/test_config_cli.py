@@ -1,13 +1,14 @@
 """Configuration parsing and command-line surface."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from sfvsim import simulator
 from sfvsim.adversary import ReplayProfile
 from sfvsim.cli import main
-from sfvsim.config import build_scenario, load_config, parse_config_text
+from sfvsim.config import _SCHEMA, build_scenario, load_config, parse_config_text
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +90,10 @@ def test_load_config_round_trip(tmp_path):
 def test_build_scenario_defaults():
     scenario, duration = build_scenario({})
     assert duration == 60.0
-    assert scenario.terrain == (3000.0, 3000.0)
+    assert (scenario.terrain_width, scenario.terrain_height) == (3000.0, 3000.0)
     assert scenario.clusters == 10
     assert scenario.nodes_per_cluster == 80
-    assert scenario.queue.capacity == 50
+    assert scenario.queue_capacity == 50
     assert scenario.handshake.m_blocks == 4
     assert scenario.replay_profile is None
 
@@ -107,10 +108,10 @@ def test_build_scenario_file_options_apply():
     )
     scenario, duration = build_scenario(options)
     assert duration == 3.5
-    assert scenario.terrain == (900.0, 600.0)
-    assert scenario.cluster_size == (250.0, 200.0)
-    assert scenario.queue.capacity == 7
-    assert scenario.queue.service_rate_kbps == 800.0
+    assert (scenario.terrain_width, scenario.terrain_height) == (900.0, 600.0)
+    assert (scenario.cluster_width, scenario.cluster_height) == (250.0, 200.0)
+    assert scenario.queue_capacity == 7
+    assert scenario.channel_capacity_kbps == 800.0
     assert scenario.handshake.m_blocks == 2
     assert scenario.handshake.n_ranging == 5
     assert scenario.handshake.retry_limit == 4
@@ -155,6 +156,53 @@ def test_build_scenario_explicit_beats_calibrated():
         "detection_probability": 0.9,
     })
     assert scenario.replay_profile == ReplayProfile(0.1, 0.2, 0.3)
+
+
+# Every accepted key with a valid value that differs from its default.  The
+# key set is derived from the Scenario, HandshakeConfig and ReplayProfile
+# fields; this literal makes adding or dropping one a visible change.
+KEY_VALUES = {
+    "terrain_width": 2000.0, "terrain_height": 1500.0, "clusters": 4,
+    "cluster_width": 200.0, "cluster_height": 250.0, "nodes_per_cluster": 10,
+    "radio_ranges": (200.0, 260.0), "tx_rate_kbps": 500.0, "packet_size_bytes": 256,
+    "node_speed_min": 1.0, "node_speed_max": 20.0, "sfv_mode": "off", "master_seed": 9,
+    "queue_capacity": 10, "channel_capacity_kbps": 900.0, "flows_per_cluster": 3,
+    "m_blocks": 2, "n_ranging": 5, "retry_limit": 2, "n_ids": 3,
+    "processing_budget_s": 1e-6, "aoa_halfwidth_deg": 30.0, "handshake_base_s": 0.01,
+    "handshake_attempt_extra_s": 0.005, "mobility_step_s": 0.05,
+    "discovery_interval_s": 0.2, "pause_s": 0.5, "attacker_fraction": 0.1,
+    "attacker_kind": "sybil", "attack_interval_s": 2.0, "tunnel_latency_s": 2e-5,
+    "p_wormhole": 0.5, "p_id_replay": 0.5, "p_rtt_replay": 0.5,
+    "detection_probability": 0.5, "neighbor_verification": True,
+    "noise_distance_m": 5.0, "noise_angle_deg": 3.0, "noise_rtt_s": 1e-7,
+    "duration_s": 5.0,
+}
+
+
+def test_config_accepts_exactly_the_pinned_keys():
+    assert len(KEY_VALUES) == 40
+    assert sorted(_SCHEMA) == sorted(KEY_VALUES)
+
+
+@pytest.mark.parametrize("key", sorted(set(KEY_VALUES) - {"duration_s"}))
+def test_every_config_key_changes_the_scenario(key):
+    # a replay probability is only accepted with the other two
+    base = {"p_wormhole": 0.2, "p_id_replay": 0.3, "p_rtt_replay": 0.4}
+    if key not in base:
+        base = {}
+    changed, _ = build_scenario({**base, key: KEY_VALUES[key]})
+    assert changed != build_scenario(base)[0]
+
+
+def test_readme_example_config_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Keys mirror")[1].split("```")[1]
+    options = parse_config_text(block)
+    assert len(options) == sum(1 for line in block.splitlines() if "=" in line)
+    scenario, duration = build_scenario(options)
+    assert duration == options["duration_s"]
+    assert scenario.sfv_mode == options["sfv_mode"]
+    assert scenario.neighbor_verification is True
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +262,14 @@ def test_cli_run_missing_config_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def refuse(engine):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(simulator._Engine, "execute", refuse)
+
+
 @pytest.mark.parametrize("config,flags", [
     ("tx_rate_kbps = nan\n", []),
     ("terrain_width = nan\n", []),
@@ -222,16 +278,30 @@ def test_cli_run_missing_config_exits_2(capsys):
     ("", ["--duration", "inf"]),
 ], ids=["tx-rate-nan", "terrain-nan", "speed-inf", "duration-nan", "duration-inf"])
 def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_path,
-                                                            monkeypatch, capsys):
-    def no_simulation(engine):
-        raise AssertionError("the simulation started")
-
-    monkeypatch.setattr(simulator._Engine, "execute", no_simulation)
+                                                            no_simulation, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(config)
     assert main(["run", "--config", str(cfg), *flags]) == 2
     captured = capsys.readouterr()
     assert "finite" in captured.err
+    assert captured.out == ""
+
+
+# `off` mode builds no ranging evidence, so only the Scenario checks stop
+# these values before a CSV is written.
+@pytest.mark.parametrize("config", [
+    "aoa_halfwidth_deg = 0\n",
+    "aoa_halfwidth_deg = 500\n",
+    "processing_budget_s = -1\n",
+    "pause_s = -3\n",
+], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative"])
+def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
+                                                            no_simulation, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(config)
+    assert main(["run", "--config", str(cfg), "--mode", "off"]) == 2
+    captured = capsys.readouterr()
+    assert config.split(" =")[0] in captured.err
     assert captured.out == ""
 
 

@@ -13,10 +13,8 @@ from sfvsim import simulator
 from sfvsim.model import IdPool, NodeProfile, SymmetricId
 from sfvsim.simulator import (
     SFV_MODES,
-    QueueModel,
     Scenario,
     cluster_rects,
-    measure_metrics,
     run_scenario,
     step_mobility,
 )
@@ -129,14 +127,14 @@ def desk(seed=1, **kw):
 
 
 def test_equal_seeds_reproduce_metrics_exactly():
-    a = measure_metrics(run_scenario(desk(seed=9, sfv_mode="sfv-ranging"), 20.0))
-    b = measure_metrics(run_scenario(desk(seed=9, sfv_mode="sfv-ranging"), 20.0))
+    a = run_scenario(desk(seed=9, sfv_mode="sfv-ranging"), 20.0)
+    b = run_scenario(desk(seed=9, sfv_mode="sfv-ranging"), 20.0)
     assert a == b
 
 
 def test_different_seeds_differ():
-    a = measure_metrics(run_scenario(desk(seed=1), 20.0))
-    b = measure_metrics(run_scenario(desk(seed=2), 20.0))
+    a = run_scenario(desk(seed=1), 20.0)
+    b = run_scenario(desk(seed=2), 20.0)
     assert a != b
 
 
@@ -147,7 +145,7 @@ def test_different_seeds_differ():
          neighbor_verification=True),
 ])
 def test_packet_conservation_is_exact(kw):
-    m = measure_metrics(run_scenario(desk(seed=4, **kw), 30.0))
+    m = run_scenario(desk(seed=4, **kw), 30.0)
     assert m.generated == m.delivered + m.dropped_queue + m.dropped_range + m.in_flight
 
 
@@ -178,10 +176,10 @@ def test_one_generation_event_per_tick_for_all_flows(monkeypatch):
     monkeypatch.setattr(simulator, "heapq",
                         SimpleNamespace(heappush=counting, heappop=heapq.heappop))
     sc = desk(seed=2, flows_per_cluster=4, tx_rate_kbps=600.0)
-    run = run_scenario(sc, 10.0)
+    m = run_scenario(sc, 10.0)
     flows = sc.clusters * sc.flows_per_cluster
-    ticks = run.generated // flows
-    assert run.generated == ticks * flows > 0
+    ticks = m.generated // flows
+    assert m.generated == ticks * flows > 0
     generation = sum(n for kind, n in pushed.items() if kind not in ("svc", "mob", "atk"))
     assert generation == ticks
 
@@ -207,7 +205,7 @@ def test_arrivals_dispatch_only_onto_an_idle_channel(monkeypatch):
 
 
 def test_zero_traffic_flagged():
-    m = measure_metrics(run_scenario(desk(tx_rate_kbps=0.0), 10.0))
+    m = run_scenario(desk(tx_rate_kbps=0.0), 10.0)
     assert m.no_traffic
     assert m.generated == 0
     assert m.throughput_kbps == 0.0
@@ -226,7 +224,7 @@ def test_mode_alias_normalized():
 
 def test_throughput_never_exceeds_offered_load():
     sc = desk(tx_rate_kbps=600.0, flows_per_cluster=2)
-    m = measure_metrics(run_scenario(sc, 20.0))
+    m = run_scenario(sc, 20.0)
     offered = 600.0 * 2 * 2  # per-source rate x flows x clusters
     assert m.throughput_kbps <= offered
 
@@ -235,7 +233,7 @@ def test_throughput_never_exceeds_offered_load():
     dict(tx_rate_kbps=-1.0),
     dict(sfv_mode="totally-on"),
     dict(nodes_per_cluster=0),
-    dict(node_speed=(10.0, 5.0)),
+    dict(node_speed_min=10.0, node_speed_max=5.0),
     dict(radio_ranges=(250.0, 230.0)),
     dict(sfv_mode="sfv-with-ranging"),
     dict(attacker_fraction=1.5),
@@ -244,6 +242,16 @@ def test_throughput_never_exceeds_offered_load():
     dict(pause_s=math.nan),
     dict(radio_ranges=(230.0, math.inf)),
     dict(noise_distance_m=math.inf),
+    dict(queue_capacity=0),
+    dict(channel_capacity_kbps=0.0),
+    dict(channel_capacity_kbps=math.inf),
+    dict(aoa_halfwidth_deg=0.0),
+    dict(aoa_halfwidth_deg=500.0),
+    dict(processing_budget_s=-1.0),
+    dict(pause_s=-3.0),
+    dict(noise_distance_m=-1.0),
+    dict(noise_angle_deg=-1.0),
+    dict(noise_rtt_s=-1e-6),
 ])
 def test_invalid_scenarios_rejected(kw):
     if "attacker_kind" in kw:
@@ -252,19 +260,10 @@ def test_invalid_scenarios_rejected(kw):
         desk(**kw)
 
 
-def test_queue_model_validation():
-    with pytest.raises(ValueError):
-        QueueModel(capacity=0)
-    with pytest.raises(ValueError):
-        QueueModel(service_rate_kbps=0.0)
-    with pytest.raises(ValueError):
-        QueueModel(service_rate_kbps=math.inf)
-
-
 def test_ranging_mode_scans_and_shakes_more():
-    kw = dict(seed=6, cluster_size=(400.0, 400.0), flows_per_cluster=4)
-    plain = measure_metrics(run_scenario(desk(sfv_mode="sfv", **kw), 30.0))
-    ranging = measure_metrics(run_scenario(desk(sfv_mode="sfv-ranging", **kw), 30.0))
+    kw = dict(seed=6, cluster_width=400.0, cluster_height=400.0, flows_per_cluster=4)
+    plain = run_scenario(desk(sfv_mode="sfv", **kw), 30.0)
+    ranging = run_scenario(desk(sfv_mode="sfv-ranging", **kw), 30.0)
     assert ranging.scan_attempts >= plain.scan_attempts
     assert ranging.handshakes >= plain.handshakes
     assert plain.handshakes > 0
@@ -273,7 +272,7 @@ def test_ranging_mode_scans_and_shakes_more():
 # ----------------------------------------------------------- verdict counts
 
 def test_all_honest_clusters_have_no_suspects():
-    m = measure_metrics(run_scenario(desk(seed=3, neighbor_verification=True), 10.0))
+    m = run_scenario(desk(seed=3, neighbor_verification=True), 10.0)
     assert len(m.suspicious_per_cluster) == 2
     assert all(suspicious == 0 for suspicious in m.suspicious_per_cluster)
     assert all(friendly > 0 for friendly in m.friendly_per_cluster)
@@ -282,7 +281,7 @@ def test_all_honest_clusters_have_no_suspects():
 def test_planted_attackers_are_counted_per_cluster():
     sc = desk(seed=8, attacker_fraction=0.1, attacker_kind="sybil",
               neighbor_verification=True)
-    metrics = measure_metrics(run_scenario(sc, 10.0))
+    metrics = run_scenario(sc, 10.0)
     planted = round(0.1 * 20)
     for friendly, suspicious in zip(metrics.friendly_per_cluster,
                                     metrics.suspicious_per_cluster):
@@ -296,7 +295,7 @@ def test_planted_attackers_are_counted_per_cluster():
 def test_wormhole_attackers_detected_by_thresholds():
     sc = desk(seed=12, attacker_fraction=0.1, attacker_kind="wormhole",
               tunnel_latency_s=1e-5)
-    m = measure_metrics(run_scenario(sc, 10.0))
+    m = run_scenario(sc, 10.0)
     assert m.attack_attempts > 0
     assert m.empirical_detection_rate == 1.0
 
@@ -307,7 +306,7 @@ def test_full_scale_counts_have_the_right_order():
     sc = Scenario(master_seed=5, sfv_mode="sfv", tx_rate_kbps=200.0,
                   attacker_fraction=0.05, attacker_kind="mixed",
                   neighbor_verification=True)
-    m = measure_metrics(run_scenario(sc, 4.0))
+    m = run_scenario(sc, 4.0)
     assert len(m.suspicious_per_cluster) == 10
     total_friendly = sum(m.friendly_per_cluster)
     total_suspicious = sum(m.suspicious_per_cluster)
