@@ -165,11 +165,11 @@ class RangingEvidence:
 
 @dataclass(frozen=True)
 class NodeProfile:
-    """A node's identity, kinematic state and credential pool.
+    """A node's identity, position, velocity and credential pool.
 
-    waypoint/pause_remaining carry random-waypoint mobility state between
-    steps; the shared pool object survives positional updates so its
-    cursor keeps advancing across handshakes.
+    The simulator builds one per handshake from its own per-node state;
+    the pool object is shared, not copied, so its cursor keeps advancing
+    across handshakes.
     """
 
     node_id: str
@@ -177,8 +177,6 @@ class NodeProfile:
     velocity: tuple[float, float]
     role: str  # "honest" | "sybil" | "wormhole-endpoint"
     pool: IdPool
-    waypoint: tuple[float, float] | None = None
-    pause_remaining: float = 0.0
 
     def __post_init__(self):
         if self.role not in ("honest", "sybil", "wormhole-endpoint"):

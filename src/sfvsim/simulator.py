@@ -14,7 +14,7 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .adversary import (
     ReplayProfile,
@@ -94,6 +94,10 @@ class Scenario:
                      "attack_interval_s", "handshake_base_s", "tunnel_latency_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive: {getattr(self, name)}")
+        _, cell_w, cell_h = self.cluster_grid
+        for name, cell in (("cluster_width", cell_w), ("cluster_height", cell_h)):
+            if getattr(self, name) > cell:
+                raise ValueError(f"{name} exceeds its grid cell: {getattr(self, name)} > {cell}")
         for name in ("tx_rate_kbps", "node_speed_min", "flows_per_cluster",
                      "processing_budget_s", "handshake_attempt_extra_s", "pause_s",
                      "noise_distance_m", "noise_angle_deg", "noise_rtt_s"):
@@ -123,60 +127,80 @@ class Scenario:
     def packet_bits(self) -> int:
         return self.packet_size_bytes * 8
 
+    @property
+    def cluster_grid(self) -> tuple[int, float, float]:
+        """Columns of the grid of cluster cells, and one cell's width and height."""
+        cols = math.ceil(math.sqrt(self.clusters))
+        rows = math.ceil(self.clusters / cols)
+        return cols, self.terrain_width / cols, self.terrain_height / rows
+
 
 def step_mobility(
-    profile: NodeProfile,
+    xs: list[float],
+    ys: list[float],
+    vxs: list[float],
+    vys: list[float],
+    waypoints: list[tuple[float, float] | None],
+    pauses: list[float],
+    rects: list[tuple[float, float, float, float]],
     dt: float,
-    terrain: tuple[float, float, float, float],
     speed_range: tuple[float, float],
     rng_stream: random.Random,
-    pause_s: float = 0.0,
-) -> NodeProfile:
-    """Advance one node by dt seconds of random-waypoint motion.
+    pause_s: float,
+) -> None:
+    """Advance every node by dt seconds of random-waypoint motion, in place.
 
-    Needing a leg draws exactly three variates (waypoint x, waypoint y,
-    speed) so parallel runs consume the stream identically.  Arrival lands
-    exactly on the waypoint; the next leg starts on the following step,
-    after any pause.  The position never leaves terrain, the bounds
-    (x0, y0, x1, y1).
+    Node i stands at (xs[i], ys[i]) with velocity (vxs[i], vys[i]), heads
+    for waypoints[i] (None between legs) and, between legs only, has
+    pauses[i] seconds of pause left; it roams rects[i], the bounds
+    (x0, y0, x1, y1).  Nodes advance in index order.  A node needing a
+    leg draws exactly three variates (waypoint x, waypoint y, speed), so
+    parallel runs consume the stream identically; mid-leg, the speed is
+    re-derived from the velocity.  Arrival lands exactly on the waypoint
+    and starts a pause of pause_s; the next leg starts on the step after
+    the pause ends.
     """
     if dt <= 0:
         raise ValueError(f"time step must be positive: {dt}")
-    x0, y0, x1, y1 = terrain
-    if profile.pause_remaining > 0:
-        return replace(profile, velocity=(0.0, 0.0),
-                       pause_remaining=max(0.0, profile.pause_remaining - dt))
-    x, y = profile.position
-    waypoint = profile.waypoint
-    if waypoint is None:
-        wx = rng_stream.uniform(x0, x1)
-        wy = rng_stream.uniform(y0, y1)
-        speed = rng_stream.uniform(speed_range[0], speed_range[1])
-        waypoint = (wx, wy)
-    else:
-        vx, vy = profile.velocity
-        speed = math.hypot(vx, vy)
-    dx = waypoint[0] - x
-    dy = waypoint[1] - y
-    distance = math.hypot(dx, dy)
-    step = speed * dt
-    if step >= distance:
-        return replace(profile, position=waypoint, velocity=(0.0, 0.0),
-                       waypoint=None, pause_remaining=pause_s)
-    ux, uy = dx / distance, dy / distance
-    return replace(profile, position=(x + ux * step, y + uy * step),
-                   velocity=(ux * speed, uy * speed), waypoint=waypoint,
-                   pause_remaining=0.0)
+    speed_min, speed_max = speed_range
+    uniform = rng_stream.uniform
+    hypot = math.hypot
+    for i in range(len(xs)):
+        waypoint = waypoints[i]
+        if waypoint is None:
+            if pauses[i] > 0:
+                vxs[i] = vys[i] = 0.0
+                pauses[i] = max(0.0, pauses[i] - dt)
+                continue
+            x0, y0, x1, y1 = rects[i]
+            waypoint = waypoints[i] = (uniform(x0, x1), uniform(y0, y1))
+            speed = uniform(speed_min, speed_max)
+        else:
+            speed = hypot(vxs[i], vys[i])
+        x = xs[i]
+        y = ys[i]
+        dx = waypoint[0] - x
+        dy = waypoint[1] - y
+        distance = hypot(dx, dy)
+        step = speed * dt
+        if step >= distance:
+            xs[i], ys[i] = waypoint
+            vxs[i] = vys[i] = 0.0
+            waypoints[i] = None
+            pauses[i] = pause_s
+        else:
+            ux, uy = dx / distance, dy / distance
+            xs[i] = x + ux * step
+            ys[i] = y + uy * step
+            vxs[i] = ux * speed
+            vys[i] = uy * speed
 
 
 def cluster_rects(scenario: Scenario) -> list[tuple[float, float, float, float]]:
     """Deterministic cluster placement: a grid of cells, rects centered."""
-    cols = math.ceil(math.sqrt(scenario.clusters))
-    rows = math.ceil(scenario.clusters / cols)
-    cell_w = scenario.terrain_width / cols
-    cell_h = scenario.terrain_height / rows
-    w = min(scenario.cluster_width, cell_w)
-    h = min(scenario.cluster_height, cell_h)
+    cols, cell_w, cell_h = scenario.cluster_grid
+    w = scenario.cluster_width
+    h = scenario.cluster_height
     rects = []
     for index in range(scenario.clusters):
         cx = (index % cols + 0.5) * cell_w
@@ -263,8 +287,8 @@ class _Engine:
     runs and mobility never depends on mode or traffic settings.
 
     Kinematics live only in flat per-node lists (x, y, vx, vy, waypoint,
-    pause); a NodeProfile is built from them on demand, for a handshake or
-    for a node that starts a new leg or is pausing.
+    pause), which step_mobility advances once per mobility step; a
+    NodeProfile is built from them on demand, for a handshake.
     """
 
     def __init__(self, scenario: Scenario, duration_s: float):
@@ -296,6 +320,8 @@ class _Engine:
         )
         self.epoch_every = max(1, round(scenario.discovery_interval_s / scenario.mobility_step_s))
         self.speed_range = (scenario.node_speed_min, scenario.node_speed_max)
+        # wormhole_perturb reads only the latency, so all attackers share one.
+        self.tunnel = WormholeTunnel("wormhole-mouth", "wormhole-far", scenario.tunnel_latency_s)
 
         self._build_population()
         self._build_flows()
@@ -437,7 +463,6 @@ class _Engine:
             node_id=self.node_id[i], position=(self.x[i], self.y[i]),
             velocity=(self.vx[i], self.vy[i]), role=self.node_role[i],
             pool=self.node_pool[i] if pool is None else pool,
-            waypoint=self.waypoint[i], pause_remaining=self.pause[i],
         )
 
     def _pair_pools(self, a: int, b: int) -> tuple[IdPool, IdPool]:
@@ -469,6 +494,20 @@ class _Engine:
     def _record_verdict(self, node_index: int, friendly: bool) -> None:
         if self.verdict[node_index] is not False:
             self.verdict[node_index] = friendly
+
+    def _handshake(self, a: int, b: int, evidence) -> bool:
+        """Honest nodes a and b verify their link; b's verdict is recorded."""
+        pool_a, pool_b = self._pair_pools(a, b)
+        friendly = run_handshake(
+            self._profile(a, pool_a),
+            self._profile(b, pool_b),
+            evidence,
+            self.sc.handshake,
+            self.payload_rng,
+        ).friendly
+        self.handshakes += 1
+        self._record_verdict(b, friendly)
+        return friendly
 
     # ------------------------------------------------------------------ handlers
 
@@ -540,29 +579,18 @@ class _Engine:
                 flow.dropped_range += 1
         elif job[0] == "hs":
             _, _, flow, evidence, selected = job
-            self._finish_handshake(flow, evidence, selected)
+            flow.handshaking = False
+            if self._handshake(flow.src, flow.dst, evidence):
+                flow.selected_range = selected
+                flow.connected = self._distance(flow.src, flow.dst) <= selected
         self._dispatch(cluster)
-
-    def _finish_handshake(self, flow: _Flow, evidence, selected: float) -> None:
-        pool_a, pool_b = self._pair_pools(flow.src, flow.dst)
-        verdict = run_handshake(
-            self._profile(flow.src, pool_a),
-            self._profile(flow.dst, pool_b),
-            evidence,
-            self.sc.handshake,
-            self.payload_rng,
-        )
-        flow.handshaking = False
-        self.handshakes += 1
-        self._record_verdict(flow.dst, verdict.friendly)
-        if verdict.friendly:
-            flow.selected_range = selected
-            flow.connected = self._distance(flow.src, flow.dst) <= selected
 
     def _handle_mob(self, step_index: int) -> None:
         sc = self.sc
         if step_index > 0:  # step 0 only runs discovery on the laid-out positions
-            self._step_nodes()
+            step_mobility(self.x, self.y, self.vx, self.vy, self.waypoint, self.pause,
+                          self.node_rect, sc.mobility_step_s, self.speed_range,
+                          self.mobility_rng, sc.pause_s)
         epoch = step_index % self.epoch_every == 0
         for flow in self.flows:
             distance = self._distance(flow.src, flow.dst)
@@ -578,48 +606,6 @@ class _Engine:
         next_time = (step_index + 1) * sc.mobility_step_s
         if next_time <= self.duration:
             self._push(next_time, "mob", step_index + 1)
-
-    def _step_nodes(self) -> None:
-        """Advance every node by one mobility step.
-
-        A node in mid-leg moves inline with exactly step_mobility's
-        arithmetic, speed re-derived from the velocity included, so runs
-        stay byte-identical.  A node between legs or pausing goes through
-        step_mobility itself, which alone draws a leg's three variates.
-        """
-        sc = self.sc
-        dt = sc.mobility_step_s
-        xs, ys, vxs, vys = self.x, self.y, self.vx, self.vy
-        waypoints, pauses = self.waypoint, self.pause
-        hypot = math.hypot
-        for i in range(len(xs)):
-            waypoint = waypoints[i]
-            if waypoint is None:  # a node keeps no waypoint while it pauses
-                moved = step_mobility(self._profile(i), dt, self.node_rect[i],
-                                      self.speed_range, self.mobility_rng, sc.pause_s)
-                xs[i], ys[i] = moved.position
-                vxs[i], vys[i] = moved.velocity
-                waypoints[i] = moved.waypoint
-                pauses[i] = moved.pause_remaining
-                continue
-            x = xs[i]
-            y = ys[i]
-            speed = hypot(vxs[i], vys[i])
-            dx = waypoint[0] - x
-            dy = waypoint[1] - y
-            distance = hypot(dx, dy)
-            step = speed * dt
-            if step >= distance:
-                xs[i], ys[i] = waypoint
-                vxs[i] = vys[i] = 0.0
-                waypoints[i] = None
-                pauses[i] = sc.pause_s
-            else:
-                ux, uy = dx / distance, dy / distance
-                xs[i] = x + ux * step
-                ys[i] = y + uy * step
-                vxs[i] = ux * speed
-                vys[i] = uy * speed
 
     def _try_connect(self, flow: _Flow, distance: float) -> None:
         sc = self.sc
@@ -669,89 +655,69 @@ class _Engine:
             del unverified[index]
 
     def _verify_pair(self, verifier: int, target: int, distance: float) -> None:
-        scan = scan_for_neighbor(self.scan_plan, distance)
-        if scan.selected_range is None:
+        d_max = scan_for_neighbor(self.scan_plan, distance).selected_range
+        if d_max is None:
             return
         kind = self.attacker_kinds.get(target)
         if kind is None:
-            pool_a, pool_b = self._pair_pools(verifier, target)
-            verdict = run_handshake(
-                self._profile(verifier, pool_a),
-                self._profile(target, pool_b),
-                self._evidence(verifier, target, scan.selected_range),
-                self.sc.handshake,
-                self.payload_rng,
-            )
-            self.handshakes += 1
-            self._record_verdict(target, verdict.friendly)
+            self._handshake(verifier, target, self._evidence(verifier, target, d_max))
         else:
-            self._attack_verdict(verifier, target, kind, record_attempt=False)
+            self._attack_verdict(verifier, target, kind, d_max)
 
     def _handle_atk(self, wave: int) -> None:
         for attacker in sorted(self.attacker_kinds):
-            victim = self._nearest_honest(attacker)
-            if victim is None:
+            nearest = self._nearest_honest(attacker)
+            if nearest is None:
                 continue
-            self._attack_verdict(victim, attacker, self.attacker_kinds[attacker],
-                                 record_attempt=True)
+            victim, distance = nearest
+            # The victim lies within max_range, so some range reaches it.
+            d_max = scan_for_neighbor(self.scan_plan, distance).selected_range
+            self.attack_attempts += 1
+            if self._attack_verdict(victim, attacker, self.attacker_kinds[attacker], d_max):
+                self.attacks_detected += 1
         next_time = (wave + 1) * self.sc.attack_interval_s
         if next_time <= self.duration:
             self._push(next_time, "atk", wave + 1)
 
-    def _nearest_honest(self, attacker: int) -> int | None:
-        cluster = self.node_cluster[attacker]
+    def _nearest_honest(self, attacker: int) -> tuple[int, float] | None:
+        """The first nearest honest cluster peer within max_range, and its distance."""
         best = None
-        best_distance = None
-        for index in self.honest_by_cluster[cluster]:
+        best_distance = math.inf
+        for index in self.honest_by_cluster[self.node_cluster[attacker]]:
             distance = self._distance(attacker, index)
-            if distance <= self.max_range and (best_distance is None or distance < best_distance):
+            if distance < best_distance:
                 best, best_distance = index, distance
-        return best
+        return (best, best_distance) if best_distance <= self.max_range else None
 
-    def _attack_verdict(self, victim: int, attacker: int, kind: str,
-                        record_attempt: bool) -> None:
+    def _attack_verdict(self, victim: int, attacker: int, kind: str, d_max: float) -> bool:
+        """Victim verifies attacker on a link scanned at d_max; True if caught.
+
+        The attacker's verdict is recorded; the caller counts the attempt.
+        """
         sc = self.sc
-        if record_attempt:
-            self.attack_attempts += 1
         if kind == "replay":
             detected = any(
                 sample_detection(sc.replay_profile, self.attack_rng)
                 for _ in range(sc.n_ids)
             )
-        elif kind == "wormhole":
-            tunnel = WormholeTunnel(
-                endpoint_a=self.node_id[attacker],
-                endpoint_b=f"{self.node_id[attacker]}-far",
-                tunnel_latency=sc.tunnel_latency_s,
-            )
-            distance = self._distance(victim, attacker)
-            scan = scan_for_neighbor(self.scan_plan, distance)
-            d_max = scan.selected_range if scan.selected_range is not None else self.max_range
-            evidence = wormhole_perturb(
-                self._evidence(victim, attacker, d_max), tunnel,
-                self._bearing(victim, attacker),
-            )
-            verdict = run_handshake(
-                self._profile(victim),
-                self._profile(attacker),
-                evidence,
-                sc.handshake,
-                self.payload_rng,
-            )
-            detected = not verdict.friendly
-        else:  # sybil
-            distance = self._distance(victim, attacker)
-            scan = scan_for_neighbor(self.scan_plan, distance)
-            d_max = scan.selected_range if scan.selected_range is not None else self.max_range
+        else:
             evidence = self._evidence(victim, attacker, d_max)
-            verdict = sybil_attempt(
-                self.sybil_sets[attacker], self._profile(victim), evidence,
-                sc.handshake, self.payload_rng,
-            )
+            if kind == "wormhole":
+                verdict = run_handshake(
+                    self._profile(victim),
+                    self._profile(attacker),
+                    wormhole_perturb(evidence, self.tunnel, self._bearing(victim, attacker)),
+                    sc.handshake,
+                    self.payload_rng,
+                )
+            else:  # sybil
+                verdict = sybil_attempt(
+                    self.sybil_sets[attacker], self._profile(victim), evidence,
+                    sc.handshake, self.payload_rng,
+                )
             detected = not verdict.friendly
-        if record_attempt and detected:
-            self.attacks_detected += 1
         self._record_verdict(attacker, friendly=not detected)
+        return detected
 
     # ------------------------------------------------------------------ loop
 

@@ -101,7 +101,7 @@ def test_build_scenario_defaults():
 def test_build_scenario_file_options_apply():
     options = parse_config_text(
         "terrain_width = 900\nterrain_height = 600\n"
-        "cluster_width = 250\ncluster_height = 200\n"
+        "cluster_width = 220\ncluster_height = 180\n"
         "queue_capacity = 7\nchannel_capacity_kbps = 800\n"
         "m_blocks = 2\nn_ranging = 5\nretry_limit = 4\n"
         "duration_s = 3.5\n"
@@ -109,7 +109,7 @@ def test_build_scenario_file_options_apply():
     scenario, duration = build_scenario(options)
     assert duration == 3.5
     assert (scenario.terrain_width, scenario.terrain_height) == (900.0, 600.0)
-    assert (scenario.cluster_width, scenario.cluster_height) == (250.0, 200.0)
+    assert (scenario.cluster_width, scenario.cluster_height) == (220.0, 180.0)
     assert scenario.queue_capacity == 7
     assert scenario.channel_capacity_kbps == 800.0
     assert scenario.handshake.m_blocks == 2
@@ -294,7 +294,8 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "aoa_halfwidth_deg = 500\n",
     "processing_budget_s = -1\n",
     "pause_s = -3\n",
-], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative"])
+    "cluster_width = 5000\n",
+], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
                                                             no_simulation, capsys):
     cfg = tmp_path / "s.cfg"

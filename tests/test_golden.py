@@ -1,5 +1,5 @@
-"""Golden bytes: the metrics CSV of five short runs and of a two-point
-sweep, and the transcripts of six seeded handshake sets and of one CLI
+"""Golden bytes: the metrics CSV of six short runs and of two two-point
+sweeps, and the transcripts of six seeded handshake sets and of one CLI
 handshake, pinned by sha256.
 
 Any engine change that moves a simulated number (draw order, float
@@ -61,6 +61,30 @@ tx_rate_kbps = 1200
 # place among the arrivals of one tick would shift which packets drop.
 DESK_200_CFG = DESK_POINT_CFG.replace("tx_rate_kbps = 600", "tx_rate_kbps = 200")
 
+# Replay attackers draw their detections from the attack stream, and the
+# verifiers' sweeps flag them through the same verdicts as the waves do.
+REPLAY_VERIFY_CFG = """\
+clusters = 2
+nodes_per_cluster = 20
+cluster_width = 400
+cluster_height = 400
+flows_per_cluster = 4
+neighbor_verification = on
+attacker_fraction = 0.1
+attacker_kind = replay
+detection_probability = 0.35
+"""
+
+# Fixed-speed legs, standing still included, each followed by a pause.
+PAUSED_SPEED_CFG = """\
+clusters = 2
+nodes_per_cluster = 20
+cluster_width = 400
+cluster_height = 400
+flows_per_cluster = 4
+pause_s = 0.5
+"""
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -87,6 +111,11 @@ GOLDEN = {
         ["--mode", "off", "--seed", "1", "--duration", "60"],
         "b84dffc97640a6b4cb5ea1b74fab7e875f5cbd6894752f9ef9e8b7d9273537f8",
     ),
+    "replay-verify-ranging": (
+        REPLAY_VERIFY_CFG,
+        ["--mode", "sfv-ranging", "--seed", "4", "--duration", "10"],
+        "1f9387325b131566e82dd8586e87cdbdce6bc3d69b51358a52cac42957165bce",
+    ),
 }
 
 
@@ -103,17 +132,30 @@ def test_run_csv_bytes_match_the_recorded_digest(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
+def _sweep_digest(config, flags, tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(config)
+    assert main(["sweep", *flags, "--seed", "1", "--duration", "10",
+                 "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    return hashlib.sha256(out.encode()).hexdigest(), out
+
+
 # A sweep row carries the `variable,value` prefix columns before the
 # metrics columns.
 def test_sweep_csv_bytes_match_the_recorded_digest(tmp_path, capsys):
-    path = tmp_path / "scenario.cfg"
-    path.write_text(DESK_POINT_CFG)
-    argv = ["sweep", "--variable", "tx_rate", "--values", "200,600", "--mode", "sfv",
-            "--seed", "1", "--duration", "10", "--config", str(path)]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    digest = "596fbf712c6b364d51fbe00078339c007b4119830d6eb2231f33adbd009944ed"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+    digest, out = _sweep_digest(
+        DESK_POINT_CFG, ["--variable", "tx_rate", "--values", "200,600", "--mode", "sfv"],
+        tmp_path, capsys)
+    assert digest == "596fbf712c6b364d51fbe00078339c007b4119830d6eb2231f33adbd009944ed", out
+
+
+def test_speed_sweep_csv_bytes_match_the_recorded_digest(tmp_path, capsys):
+    digest, out = _sweep_digest(
+        PAUSED_SPEED_CFG,
+        ["--variable", "node_speed", "--values", "0,20", "--mode", "sfv-ranging"],
+        tmp_path, capsys)
+    assert digest == "bf833777018fab438419549913aecb691f4aa12fc422146953f5657a0117f167", out
 
 
 # ---------------------------------------------------------------- handshakes

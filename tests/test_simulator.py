@@ -10,7 +10,6 @@ from types import SimpleNamespace
 import pytest
 
 from sfvsim import simulator
-from sfvsim.model import IdPool, NodeProfile, SymmetricId
 from sfvsim.simulator import (
     SFV_MODES,
     Scenario,
@@ -25,53 +24,74 @@ TERRAIN = (0.0, 0.0, 300.0, 300.0)  # x0, y0, x1, y1
 SPEED_RANGE = (5.0, 50.0)
 
 
+class Roamers:
+    """A population in step_mobility's flat per-node lists."""
+
+    def __init__(self, positions, waypoints, velocities, pauses):
+        self.x = [p[0] for p in positions]
+        self.y = [p[1] for p in positions]
+        self.vx = [v[0] for v in velocities]
+        self.vy = [v[1] for v in velocities]
+        self.waypoint = list(waypoints)
+        self.pause = list(pauses)
+        self.rect = [TERRAIN] * len(positions)
+
+    def step(self, dt, rng, speed_range=SPEED_RANGE, pause_s=0.0):
+        step_mobility(self.x, self.y, self.vx, self.vy, self.waypoint, self.pause,
+                      self.rect, dt, speed_range, rng, pause_s)
+        return self
+
+    def node(self, i=0):
+        return ((self.x[i], self.y[i]), (self.vx[i], self.vy[i]),
+                self.waypoint[i], self.pause[i])
+
+
 def roamer(position=(0.0, 0.0), waypoint=None, velocity=(0.0, 0.0), pause=0.0):
-    return NodeProfile("n", position, velocity, "honest",
-                       IdPool([SymmetricId(1)]), waypoint=waypoint,
-                       pause_remaining=pause)
+    return Roamers([position], [waypoint], [velocity], [pause])
 
 
 # ------------------------------------------------------------------ mobility
 
 def test_step_toward_waypoint_345_triangle():
     node = roamer(position=(0.0, 0.0), waypoint=(30.0, 40.0), velocity=(3.0, 4.0))
-    moved = step_mobility(node, 1.0, TERRAIN, SPEED_RANGE, random.Random(0))
-    assert moved.position == pytest.approx((3.0, 4.0))
-    assert moved.velocity == pytest.approx((3.0, 4.0))
-    assert moved.waypoint == (30.0, 40.0)
+    position, velocity, waypoint, _ = node.step(1.0, random.Random(0)).node()
+    assert position == pytest.approx((3.0, 4.0))
+    assert velocity == pytest.approx((3.0, 4.0))
+    assert waypoint == (30.0, 40.0)
 
 
 def test_step_zero_speed_keeps_position():
     node = roamer(position=(10.0, 10.0), waypoint=(100.0, 100.0), velocity=(0.0, 0.0))
-    moved = step_mobility(node, 1.0, TERRAIN, (0.0, 0.0), random.Random(0))
-    assert moved.position == (10.0, 10.0)
+    position, _, _, _ = node.step(1.0, random.Random(0), speed_range=(0.0, 0.0)).node()
+    assert position == (10.0, 10.0)
 
 
 def test_step_arrival_lands_exactly_on_waypoint():
     node = roamer(position=(0.0, 0.0), waypoint=(3.0, 4.0), velocity=(30.0, 40.0))
-    moved = step_mobility(node, 1.0, TERRAIN, SPEED_RANGE, random.Random(0))
-    assert moved.position == (3.0, 4.0)
-    assert moved.waypoint is None
-    assert moved.velocity == (0.0, 0.0)
+    position, velocity, waypoint, _ = node.step(1.0, random.Random(0)).node()
+    assert position == (3.0, 4.0)
+    assert waypoint is None
+    assert velocity == (0.0, 0.0)
 
 
 def test_step_arrival_starts_pause():
     node = roamer(position=(0.0, 0.0), waypoint=(1.0, 0.0), velocity=(10.0, 0.0))
-    paused = step_mobility(node, 1.0, TERRAIN, SPEED_RANGE, random.Random(0),
-                           pause_s=0.5)
-    assert paused.pause_remaining == 0.5
-    # pausing burns time without moving
-    still = step_mobility(paused, 0.3, TERRAIN, SPEED_RANGE, random.Random(0),
-                          pause_s=0.5)
-    assert still.position == (1.0, 0.0)
-    assert still.pause_remaining == pytest.approx(0.2)
+    assert node.step(1.0, random.Random(0), pause_s=0.5).node()[3] == 0.5
+    # pausing burns time without moving or drawing
+    rng = random.Random(0)
+    state = rng.getstate()
+    position, velocity, waypoint, pause = node.step(0.3, rng, pause_s=0.5).node()
+    assert position == (1.0, 0.0)
+    assert velocity == (0.0, 0.0)
+    assert waypoint is None
+    assert pause == pytest.approx(0.2)
+    assert rng.getstate() == state
 
 
 def test_step_draws_exactly_three_variates_per_leg():
     rng = random.Random(77)
     shadow = random.Random(77)
-    node = roamer(position=(150.0, 150.0))
-    step_mobility(node, 0.025, TERRAIN, SPEED_RANGE, rng)
+    roamer(position=(150.0, 150.0)).step(0.025, rng)
     shadow.uniform(TERRAIN[0], TERRAIN[2])
     shadow.uniform(TERRAIN[1], TERRAIN[3])
     shadow.uniform(*SPEED_RANGE)
@@ -80,15 +100,14 @@ def test_step_draws_exactly_three_variates_per_leg():
 
 def test_step_requires_positive_dt():
     with pytest.raises(ValueError):
-        step_mobility(roamer(), 0.0, TERRAIN, SPEED_RANGE, random.Random(0))
+        roamer().step(0.0, random.Random(0))
 
 
 def test_walk_stays_inside_terrain():
     rng = random.Random(3)
     node = roamer(position=(150.0, 150.0))
     for _ in range(4_000):
-        node = step_mobility(node, 0.025, TERRAIN, SPEED_RANGE, rng)
-        x, y = node.position
+        (x, y), _, _, _ = node.step(0.025, rng).node()
         assert TERRAIN[0] <= x <= TERRAIN[2]
         assert TERRAIN[1] <= y <= TERRAIN[3]
 
@@ -100,11 +119,29 @@ def test_long_walk_concentrates_toward_center():
     center = (150.0, 150.0)
     distances = []
     for _ in range(40_000):
-        node = step_mobility(node, 0.025, TERRAIN, SPEED_RANGE, rng)
-        distances.append(math.dist(node.position, center))
+        distances.append(math.dist(node.step(0.025, rng).node()[0], center))
     # uniform placement would average ~0.3826 * side on a square
     uniform_mean = 0.3826 * 300.0
     assert statistics.fmean(distances) < 0.9 * uniform_mean
+
+
+def test_population_step_equals_each_node_alone_in_index_order():
+    # Both nodes draw a leg on the first step, each in its own rect, so
+    # the second's leg comes from the stream the first left behind.
+    other = (300.0, 0.0, 600.0, 300.0)
+    pair = Roamers([(10.0, 10.0), (400.0, 100.0)], [None, None],
+                   [(0.0, 0.0), (0.0, 0.0)], [0.0, 0.0])
+    pair.rect[1] = other
+    first, second = roamer((10.0, 10.0)), roamer((400.0, 100.0))
+    second.rect = [other]
+    rng = random.Random(5)
+    alone = random.Random(5)
+    for _ in range(200):
+        pair.step(0.25, rng, pause_s=0.5)
+        first.step(0.25, alone, pause_s=0.5)
+        second.step(0.25, alone, pause_s=0.5)
+        assert (pair.node(0), pair.node(1)) == (first.node(), second.node())
+    assert rng.getstate() == alone.getstate()
 
 
 def test_cluster_rects_disjoint_and_sized():
@@ -116,6 +153,13 @@ def test_cluster_rects_disjoint_and_sized():
     assert ay1 - ay0 == pytest.approx(300.0)
     # no horizontal overlap between the two cells
     assert ax1 <= bx0 or bx1 <= ax0
+
+
+def test_cluster_as_large_as_its_cell_fills_it():
+    sc = Scenario(clusters=4, cluster_width=1500.0, cluster_height=1500.0)
+    assert cluster_rects(sc) == [(0.0, 0.0, 1500.0, 1500.0), (1500.0, 0.0, 3000.0, 1500.0),
+                                 (0.0, 1500.0, 1500.0, 3000.0),
+                                 (1500.0, 1500.0, 3000.0, 3000.0)]
 
 
 # ------------------------------------------------------------ engine basics
@@ -149,21 +193,19 @@ def test_packet_conservation_is_exact(kw):
     assert m.generated == m.delivered + m.dropped_queue + m.dropped_range + m.in_flight
 
 
-def test_engine_starts_legs_through_public_step_mobility(monkeypatch):
+def test_engine_steps_mobility_once_per_step_after_step_0(monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].node_id)
-        return step_mobility(*args, **kwargs)
+    def counting(*args):
+        calls.append(len(args[0]))
+        step_mobility(*args)
 
     monkeypatch.setattr(simulator, "step_mobility", counting)
     sc = desk(seed=4)
     duration = 2.0
-    nodes = sc.clusters * sc.nodes_per_cluster
-    steps = round(duration / sc.mobility_step_s)
     run_scenario(sc, duration)
-    assert len(set(calls)) == nodes  # every node draws its first leg
-    assert len(calls) < nodes * steps / 10  # mid-leg steps stay inline
+    steps = round(duration / sc.mobility_step_s)
+    assert calls == [sc.clusters * sc.nodes_per_cluster] * steps
 
 
 def test_one_generation_event_per_tick_for_all_flows(monkeypatch):
@@ -252,6 +294,9 @@ def test_throughput_never_exceeds_offered_load():
     dict(noise_distance_m=-1.0),
     dict(noise_angle_deg=-1.0),
     dict(noise_rtt_s=-1e-6),
+    dict(cluster_width=1501.0),  # two clusters: two 1500 x 3000 m cells
+    dict(cluster_height=3001.0),
+    dict(clusters=4, cluster_width=1500.1, cluster_height=1000.0),
 ])
 def test_invalid_scenarios_rejected(kw):
     if "attacker_kind" in kw:
