@@ -69,6 +69,6 @@ from .ranging import (
     scan_for_neighbor,
     validate_evidence,
 )
-from .simulator import Scenario, ScenarioMetrics, run_scenario, step_mobility
+from .simulator import RandomWaypoint, Scenario, ScenarioMetrics, run_scenario, step_mobility
 
 __version__ = "0.1.0"

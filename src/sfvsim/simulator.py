@@ -10,11 +10,14 @@ earlier link breaks.  Everything derives from one master seed.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .adversary import (
     ReplayProfile,
@@ -29,6 +32,8 @@ from .protocol import HandshakeConfig, run_handshake
 from .ranging import ScanPlan, evidence_for_link, scan_for_neighbor
 
 SFV_MODES = ("off", "sfv", "sfv-ranging")
+# The largest population a Scenario accepts, 125 times the reference one.
+MAX_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,9 @@ class Scenario:
                      "queue_capacity", "n_ids"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1: {getattr(self, name)}")
+        if self.clusters * self.nodes_per_cluster > MAX_NODES:
+            raise ValueError(f"clusters x nodes_per_cluster exceeds {MAX_NODES} nodes: "
+                             f"{self.clusters} x {self.nodes_per_cluster}")
         for name in ("terrain_width", "terrain_height", "cluster_width", "cluster_height",
                      "channel_capacity_kbps", "mobility_step_s", "discovery_interval_s",
                      "attack_interval_s", "handshake_base_s", "tunnel_latency_s"):
@@ -135,65 +143,156 @@ class Scenario:
         return cols, self.terrain_width / cols, self.terrain_height / rows
 
 
-def step_mobility(
-    xs: list[float],
-    ys: list[float],
-    vxs: list[float],
-    vys: list[float],
-    waypoints: list[tuple[float, float] | None],
-    pauses: list[float],
-    rects: list[tuple[float, float, float, float]],
-    dt: float,
-    speed_range: tuple[float, float],
-    rng_stream: random.Random,
-    pause_s: float,
-) -> None:
-    """Advance every node by dt seconds of random-waypoint motion, in place.
+# Leg draws: three 53-bit uniforms per BLAKE2b digest.
+_UNIT = 2.0 ** -53
+_LEG_WORDS = struct.Struct("<3Q")
+# A leg whose arrival lies more steps away than this never ends.
+_MAX_LEG_STEPS = 2.0 ** 53
 
-    Node i stands at (xs[i], ys[i]) with velocity (vxs[i], vys[i]), heads
-    for waypoints[i] (None between legs) and, between legs only, has
-    pauses[i] seconds of pause left; it roams rects[i], the bounds
-    (x0, y0, x1, y1).  Nodes advance in index order.  A node needing a
-    leg draws exactly three variates (waypoint x, waypoint y, speed), so
-    parallel runs consume the stream identically; mid-leg, the speed is
-    re-derived from the velocity.  Arrival lands exactly on the waypoint
-    and starts a pause of pause_s; the next leg starts on the step after
-    the pause ends.
+
+def leg_variates(seed: bytes, leg: int) -> tuple[float, float, float]:
+    """Three uniforms in [0, 1) for leg `leg` of the node with this seed.
+
+    They come from BLAKE2b keyed with the seed, so any leg is drawn
+    without drawing the legs before it.  Leg 0 places the node; leg j >= 1
+    is its j-th trip (waypoint x, waypoint y, speed).
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive: {dt}")
-    speed_min, speed_max = speed_range
-    uniform = rng_stream.uniform
-    hypot = math.hypot
-    for i in range(len(xs)):
-        waypoint = waypoints[i]
-        if waypoint is None:
-            if pauses[i] > 0:
-                vxs[i] = vys[i] = 0.0
-                pauses[i] = max(0.0, pauses[i] - dt)
-                continue
-            x0, y0, x1, y1 = rects[i]
-            waypoint = waypoints[i] = (uniform(x0, x1), uniform(y0, y1))
-            speed = uniform(speed_min, speed_max)
+    digest = hashlib.blake2b(leg.to_bytes(8, "little"), digest_size=24, key=seed).digest()
+    a, b, c = _LEG_WORDS.unpack(digest)
+    return (a >> 11) * _UNIT, (b >> 11) * _UNIT, (c >> 11) * _UNIT
+
+
+class Leg(NamedTuple):
+    """One straight trip at constant speed, in closed form.
+
+    On mobility steps start..arrive-1 the node stands at (x0, y0) +
+    (ux, uy) * length * (step - start + 1), where length is the distance
+    covered per step; from step `arrive` on it rests on the waypoint
+    (wx, wy), until leg `index` + 1 starts on step `next_start`.  A leg
+    that never arrives has both at infinity.
+    """
+
+    arrive: float
+    next_start: float
+    start: int
+    length: float
+    x0: float
+    y0: float
+    ux: float
+    uy: float
+    wx: float
+    wy: float
+    index: int
+
+
+class RandomWaypoint:
+    """Random-waypoint motion of a population, evaluated lazily.
+
+    Node i roams rects[i], the bounds (x0, y0, x1, y1).  Its own seed,
+    drawn from the mobility stream in index order, keys every draw it
+    makes (leg_variates), so its path depends neither on which nodes are
+    read nor on when.  advance() brings nodes up to a mobility step;
+    (x[i], y[i]) is where node i stood on the step it was last brought
+    to, and legs[i] the leg it was on.  Step 0 finds every node on its
+    placement; its first trip starts on step 1, and each later one
+    1 + ceil(pause_s / dt) steps after the last arrival.
+    """
+
+    def __init__(
+        self,
+        rects: list[tuple[float, float, float, float]],
+        rng: random.Random,
+        dt: float,
+        speed_range: tuple[float, float],
+        pause_s: float,
+    ):
+        if dt <= 0:
+            raise ValueError(f"time step must be positive: {dt}")
+        self.rects = rects
+        self.dt = dt
+        self.speed_range = speed_range
+        self.pause_steps = math.ceil(pause_s / dt)
+        self.seeds = [rng.getrandbits(64).to_bytes(8, "little") for _ in rects]
+        self.x: list[float] = []
+        self.y: list[float] = []
+        self.legs: list[Leg] = []
+        for seed, (x0, y0, x1, y1) in zip(self.seeds, rects):
+            u, v, _ = leg_variates(seed, 0)
+            x = x0 + (x1 - x0) * u
+            y = y0 + (y1 - y0) * v
+            self.x.append(x)
+            self.y.append(y)
+            self.legs.append(Leg(0, 1, 0, 0.0, x, y, 0.0, 0.0, x, y, 0))
+
+    def leg(self, index: int, start: int, x0: float, y0: float,
+            wx: float, wy: float, speed: float) -> Leg:
+        """Leg `index` from (x0, y0) to (wx, wy) at `speed`, moving from step `start`.
+
+        It arrives on its k-th step, the first k >= 1 with
+        speed * dt * k >= the distance; a zero speed never arrives.
+        """
+        dx = wx - x0
+        dy = wy - y0
+        distance = math.hypot(dx, dy)
+        length = speed * self.dt
+        if length > 0 and distance / length < _MAX_LEG_STEPS:
+            k = max(1, math.ceil(distance / length))
+            while k > 1 and length * (k - 1) >= distance:
+                k -= 1
+            while length * k < distance:
+                k += 1
+            arrive = start + k - 1
+            next_start = arrive + 1 + self.pause_steps
         else:
-            speed = hypot(vxs[i], vys[i])
-        x = xs[i]
-        y = ys[i]
-        dx = waypoint[0] - x
-        dy = waypoint[1] - y
-        distance = hypot(dx, dy)
-        step = speed * dt
-        if step >= distance:
-            xs[i], ys[i] = waypoint
-            vxs[i] = vys[i] = 0.0
-            waypoints[i] = None
-            pauses[i] = pause_s
-        else:
-            ux, uy = dx / distance, dy / distance
-            xs[i] = x + ux * step
-            ys[i] = y + uy * step
-            vxs[i] = ux * speed
-            vys[i] = uy * speed
+            arrive = next_start = math.inf
+        ux, uy = (dx / distance, dy / distance) if distance else (0.0, 0.0)
+        return Leg(arrive, next_start, start, length, x0, y0, ux, uy, wx, wy, index)
+
+    def _leg_at(self, i: int, step: int) -> Leg:
+        """Node i's leg on `step`, drawing every leg that started by then."""
+        leg = self.legs[i]
+        seed = self.seeds[i]
+        x0, y0, x1, y1 = self.rects[i]
+        speed_min, speed_max = self.speed_range
+        while step >= leg.next_start:
+            u, v, w = leg_variates(seed, leg.index + 1)
+            leg = self.leg(leg.index + 1, leg.next_start, leg.wx, leg.wy,
+                           x0 + (x1 - x0) * u, y0 + (y1 - y0) * v,
+                           speed_min + (speed_max - speed_min) * w)
+        self.legs[i] = leg
+        return leg
+
+    def advance(self, nodes, step: int) -> None:
+        """Bring each listed node to mobility step `step` (no earlier than its last)."""
+        xs, ys, legs = self.x, self.y, self.legs
+        for i in nodes:
+            leg = legs[i]
+            if step >= leg[1]:  # next_start
+                leg = self._leg_at(i, step)
+            arrive, _, start, length, x0, y0, ux, uy, wx, wy, _ = leg
+            if step < arrive:
+                travel = length * (step - start + 1)
+                xs[i] = x0 + ux * travel
+                ys[i] = y0 + uy * travel
+            else:
+                xs[i] = wx
+                ys[i] = wy
+
+    def velocity(self, i: int, step: int) -> tuple[float, float]:
+        """Node i's velocity on `step`, which it must have been brought to."""
+        leg = self.legs[i]
+        if leg.start <= step < leg.arrive:
+            speed = leg.length / self.dt
+            return leg.ux * speed, leg.uy * speed
+        return 0.0, 0.0
+
+
+def step_mobility(walk: RandomWaypoint, nodes, step: int) -> None:
+    """The engine's one call per mobility step: bring `nodes` to `step`.
+
+    The engine looks this name up at call time, so a tracer can wrap it.
+    """
+    walk.advance(nodes, step)
 
 
 def cluster_rects(scenario: Scenario) -> list[tuple[float, float, float, float]]:
@@ -286,9 +385,14 @@ class _Engine:
     the master seed, drawn in a fixed order, so equal seeds replay equal
     runs and mobility never depends on mode or traffic settings.
 
-    Kinematics live only in flat per-node lists (x, y, vx, vy, waypoint,
-    pause), which step_mobility advances once per mobility step; a
-    NodeProfile is built from them on demand, for a handshake.
+    Node positions live in the flat lists x and y of a RandomWaypoint,
+    whose legs are closed-form and whose draws are per node, so a node's
+    position is brought up to date only when a handler reads it: once per
+    mobility step (through step_mobility) for the flow endpoints, and for
+    every node at a neighbor-verification epoch with work left and at each
+    attack wave.  Every handler thus sees the positions of the last
+    mobility step that ran.  A NodeProfile is built on demand, for a
+    handshake.
     """
 
     def __init__(self, scenario: Scenario, duration_s: float):
@@ -306,6 +410,7 @@ class _Engine:
         self.heap: list = []
         self.seq = 0
         self.now = 0.0
+        self.mob_step = 0  # the last mobility step that ran
         self.handshakes = 0
         self.scan_attempts = 0
         self.attack_attempts = 0
@@ -319,7 +424,6 @@ class _Engine:
             if scenario.tx_rate_kbps > 0 else None
         )
         self.epoch_every = max(1, round(scenario.discovery_interval_s / scenario.mobility_step_s))
-        self.speed_range = (scenario.node_speed_min, scenario.node_speed_max)
         # wormhole_perturb reads only the latency, so all attackers share one.
         self.tunnel = WormholeTunnel("wormhole-mouth", "wormhole-far", scenario.tunnel_latency_s)
 
@@ -338,8 +442,6 @@ class _Engine:
         self.node_id: list[str] = []
         self.node_role: list[str] = []
         self.node_pool: list[IdPool] = []
-        self.x: list[float] = []
-        self.y: list[float] = []
         self.node_cluster: list[int] = []
         self.node_rect: list[tuple] = []
         self.attacker_kinds: dict[int, str] = {}
@@ -359,8 +461,6 @@ class _Engine:
             for i in range(sc.nodes_per_cluster):
                 index = len(self.node_id)
                 node_id = f"c{c}-n{i}"
-                self.x.append(self.layout_rng.uniform(rect[0], rect[2]))
-                self.y.append(self.layout_rng.uniform(rect[1], rect[3]))
                 if i in attacker_slots:
                     kind = self._attacker_kind(index)
                     role = "wormhole-endpoint" if kind == "wormhole" else "sybil"
@@ -382,10 +482,10 @@ class _Engine:
                 self.node_rect.append(rect)
 
         count = len(self.node_id)
-        self.vx: list[float] = [0.0] * count
-        self.vy: list[float] = [0.0] * count
-        self.waypoint: list[tuple[float, float] | None] = [None] * count
-        self.pause: list[float] = [0.0] * count
+        self.walk = RandomWaypoint(self.node_rect, self.mobility_rng, sc.mobility_step_s,
+                                   (sc.node_speed_min, sc.node_speed_max), sc.pause_s)
+        self.x, self.y = self.walk.x, self.walk.y
+        self.every_node = range(count)
         # None until a node is first verified; False, once flagged, for good.
         self.verdict: list[bool | None] = [None] * count
 
@@ -431,6 +531,8 @@ class _Engine:
                 flow = _Flow(src, dst, c)
                 self.flows.append(flow)
                 self.cluster_flows[c].append(flow)
+        self.endpoints = sorted({flow.src for flow in self.flows}
+                                | {flow.dst for flow in self.flows})
         self.channels = [_Channel() for _ in range(sc.clusters)]
 
     def _prime_events(self) -> None:
@@ -461,7 +563,7 @@ class _Engine:
         """Node i as a NodeProfile, carrying its own pool unless one is given."""
         return NodeProfile(
             node_id=self.node_id[i], position=(self.x[i], self.y[i]),
-            velocity=(self.vx[i], self.vy[i]), role=self.node_role[i],
+            velocity=self.walk.velocity(i, self.mob_step), role=self.node_role[i],
             pool=self.node_pool[i] if pool is None else pool,
         )
 
@@ -587,11 +689,12 @@ class _Engine:
 
     def _handle_mob(self, step_index: int) -> None:
         sc = self.sc
-        if step_index > 0:  # step 0 only runs discovery on the laid-out positions
-            step_mobility(self.x, self.y, self.vx, self.vy, self.waypoint, self.pause,
-                          self.node_rect, sc.mobility_step_s, self.speed_range,
-                          self.mobility_rng, sc.pause_s)
         epoch = step_index % self.epoch_every == 0
+        if step_index > 0:  # step 0 only runs discovery on the placements
+            verifying = epoch and self.unverified
+            step_mobility(self.walk, self.every_node if verifying else self.endpoints,
+                          step_index)
+        self.mob_step = step_index
         for flow in self.flows:
             distance = self._distance(flow.src, flow.dst)
             if flow.connected:
@@ -665,6 +768,7 @@ class _Engine:
             self._attack_verdict(verifier, target, kind, d_max)
 
     def _handle_atk(self, wave: int) -> None:
+        self.walk.advance(self.every_node, self.mob_step)
         for attacker in sorted(self.attacker_kinds):
             nearest = self._nearest_honest(attacker)
             if nearest is None:

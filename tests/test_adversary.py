@@ -96,11 +96,12 @@ def test_sybil_identities_must_be_unique():
 
 def test_disjointness_check():
     # Every attacker pool and Sybil set the engine draws is disjoint from the
-    # honest IDs and from every other attacker's.  Mixed attackers: sybils,
-    # paired wormhole mouths and an unpaired mouth that falls back to a
-    # sybil with a second claimed set.
-    sc = simulator.Scenario(clusters=2, nodes_per_cluster=20, master_seed=1,
-                  attacker_fraction=0.15, attacker_kind="mixed")
+    # honest IDs and from every other attacker's.  Mixed attackers, every
+    # node one: sybils at the even indices 0-6, wormhole mouths at 1, 3
+    # and 5, so 1 and 3 pair up and 5 falls back to a sybil with a second
+    # claimed set, whatever the seed draws.
+    sc = simulator.Scenario(clusters=1, nodes_per_cluster=7, master_seed=1,
+                  attacker_fraction=1.0, attacker_kind="mixed")
     engine = simulator._Engine(sc, 1.0)
     groups = [{i.value for i in engine.honest_ids}]
     for index in sorted(engine.attacker_kinds):

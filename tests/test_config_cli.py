@@ -267,7 +267,11 @@ def no_simulation(monkeypatch):
     def refuse(engine):
         raise AssertionError("the simulation started")
 
+    def refuse_population(engine):
+        raise AssertionError("the population was built")
+
     monkeypatch.setattr(simulator._Engine, "execute", refuse)
+    monkeypatch.setattr(simulator._Engine, "_build_population", refuse_population)
 
 
 @pytest.mark.parametrize("config,flags", [
@@ -295,7 +299,10 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "processing_budget_s = -1\n",
     "pause_s = -3\n",
     "cluster_width = 5000\n",
-], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell"])
+    "clusters = 1" + "0" * 400 + "\n",  # too large for math.sqrt's float
+    "nodes_per_cluster = 100000000\n",
+], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell",
+        "clusters-overflow", "nodes-beyond-cap"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
                                                             no_simulation, capsys):
     cfg = tmp_path / "s.cfg"

@@ -89,32 +89,32 @@ GOLDEN = {
     "default-sfv": (
         None,
         ["--mode", "sfv", "--seed", "1", "--duration", "2"],
-        "ff4bc1e0d695a52498c0b05ec38e929ff9dbdbbf3775d3e31b649e2d8433fe24",
+        "cdfd5c1112f39faf1dd951269a81021c618a865a8f21c954bbff9e1af5d5ccc8",
     ),
     "ranging-verify-attack": (
         VERIFY_ATTACK_CFG,
         ["--mode", "sfv-ranging", "--seed", "3", "--duration", "10"],
-        "837651755311fea3316c8f051142b4618d73a28cfbb9224b54a58ea34e836871",
+        "f225b25d8062d01257a3c4c83f7094b2bc2f203604355071a80aec451a5fb020",
     ),
     "desk-point-off": (
         DESK_POINT_CFG,
         ["--mode", "off", "--seed", "2", "--duration", "60"],
-        "0d7aa091bbc4800e5d0af076e8e30006acc38c2031451fb082b01a51284b23d8",
+        "aa71bc3302f38a355d280c36777c1cb0f9b1bb2da8965bedf7c0bf3578f27793",
     ),
     "same-time-service-off": (
         SAME_TIME_CFG,
         ["--mode", "off", "--seed", "1", "--duration", "30"],
-        "718e765a4b0179433f6833debf2851f3e08a80056534fc3ad39445f796eb4a8b",
+        "5b3c5d70eb73ab039aecc2438fccaaa1c8d3f98cea3ed5d8d78b9be07913ca64",
     ),
     "desk-200-off": (
         DESK_200_CFG,
         ["--mode", "off", "--seed", "1", "--duration", "60"],
-        "b84dffc97640a6b4cb5ea1b74fab7e875f5cbd6894752f9ef9e8b7d9273537f8",
+        "d5cf50c9fd425b7d8a6eb740afcd7a2ad3d05ecfee0beb275e336a948b9414c5",
     ),
     "replay-verify-ranging": (
         REPLAY_VERIFY_CFG,
         ["--mode", "sfv-ranging", "--seed", "4", "--duration", "10"],
-        "1f9387325b131566e82dd8586e87cdbdce6bc3d69b51358a52cac42957165bce",
+        "539ebd0ba8a1b718457b417b8d1f2a4bd8c21d4bd35648a704ead2dbde75d4e4",
     ),
 }
 
@@ -147,7 +147,7 @@ def test_sweep_csv_bytes_match_the_recorded_digest(tmp_path, capsys):
     digest, out = _sweep_digest(
         DESK_POINT_CFG, ["--variable", "tx_rate", "--values", "200,600", "--mode", "sfv"],
         tmp_path, capsys)
-    assert digest == "596fbf712c6b364d51fbe00078339c007b4119830d6eb2231f33adbd009944ed", out
+    assert digest == "63ab93980c48090a02d325b041b90caeec1cb3ec09be475ca1309e8bf57ca8bf", out
 
 
 def test_speed_sweep_csv_bytes_match_the_recorded_digest(tmp_path, capsys):
@@ -155,7 +155,7 @@ def test_speed_sweep_csv_bytes_match_the_recorded_digest(tmp_path, capsys):
         PAUSED_SPEED_CFG,
         ["--variable", "node_speed", "--values", "0,20", "--mode", "sfv-ranging"],
         tmp_path, capsys)
-    assert digest == "bf833777018fab438419549913aecb691f4aa12fc422146953f5657a0117f167", out
+    assert digest == "4d6c2a3affa3eee96791cf5f450028f218cc5badd6548c97f7624750636a6ed5", out
 
 
 # ---------------------------------------------------------------- handshakes

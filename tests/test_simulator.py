@@ -12,8 +12,10 @@ import pytest
 from sfvsim import simulator
 from sfvsim.simulator import (
     SFV_MODES,
+    RandomWaypoint,
     Scenario,
     cluster_rects,
+    leg_variates,
     run_scenario,
     step_mobility,
 )
@@ -24,124 +26,141 @@ TERRAIN = (0.0, 0.0, 300.0, 300.0)  # x0, y0, x1, y1
 SPEED_RANGE = (5.0, 50.0)
 
 
-class Roamers:
-    """A population in step_mobility's flat per-node lists."""
-
-    def __init__(self, positions, waypoints, velocities, pauses):
-        self.x = [p[0] for p in positions]
-        self.y = [p[1] for p in positions]
-        self.vx = [v[0] for v in velocities]
-        self.vy = [v[1] for v in velocities]
-        self.waypoint = list(waypoints)
-        self.pause = list(pauses)
-        self.rect = [TERRAIN] * len(positions)
-
-    def step(self, dt, rng, speed_range=SPEED_RANGE, pause_s=0.0):
-        step_mobility(self.x, self.y, self.vx, self.vy, self.waypoint, self.pause,
-                      self.rect, dt, speed_range, rng, pause_s)
-        return self
-
-    def node(self, i=0):
-        return ((self.x[i], self.y[i]), (self.vx[i], self.vy[i]),
-                self.waypoint[i], self.pause[i])
+def walker(dt=0.025, speed_range=SPEED_RANGE, pause_s=0.0, seed=0, rects=(TERRAIN,)):
+    return RandomWaypoint(list(rects), random.Random(seed), dt, speed_range, pause_s)
 
 
-def roamer(position=(0.0, 0.0), waypoint=None, velocity=(0.0, 0.0), pause=0.0):
-    return Roamers([position], [waypoint], [velocity], [pause])
+def on_leg(walk, to, speed, start=1, origin=(0.0, 0.0)):
+    """Put node 0 on a first leg from origin to `to`, moving from step `start`."""
+    walk.legs[0] = walk.leg(1, start, *origin, *to, speed)
+    return walk
+
+
+def at(walk, step, i=0):
+    walk.advance([i], step)
+    return walk.x[i], walk.y[i]
 
 
 # ------------------------------------------------------------------ mobility
 
 def test_step_toward_waypoint_345_triangle():
-    node = roamer(position=(0.0, 0.0), waypoint=(30.0, 40.0), velocity=(3.0, 4.0))
-    position, velocity, waypoint, _ = node.step(1.0, random.Random(0)).node()
-    assert position == pytest.approx((3.0, 4.0))
-    assert velocity == pytest.approx((3.0, 4.0))
-    assert waypoint == (30.0, 40.0)
+    walk = on_leg(walker(dt=1.0), (30.0, 40.0), 5.0)
+    assert at(walk, 1) == pytest.approx((3.0, 4.0))
+    assert walk.velocity(0, 1) == pytest.approx((3.0, 4.0))
+    # start + unit * speed * k * dt, not an accumulated sum
+    assert at(walk, 4) == (0.6 * (5.0 * 4), 0.8 * (5.0 * 4))
 
 
 def test_step_zero_speed_keeps_position():
-    node = roamer(position=(10.0, 10.0), waypoint=(100.0, 100.0), velocity=(0.0, 0.0))
-    position, _, _, _ = node.step(1.0, random.Random(0), speed_range=(0.0, 0.0)).node()
-    assert position == (10.0, 10.0)
+    walk = walker(speed_range=(0.0, 0.0))
+    placed = (walk.x[0], walk.y[0])
+    for step in (1, 2, 1000, 10 ** 9):
+        assert at(walk, step) == placed
+        assert walk.velocity(0, step) == (0.0, 0.0)
+    assert walk.legs[0].index == 1  # the first leg never ends
 
 
 def test_step_arrival_lands_exactly_on_waypoint():
-    node = roamer(position=(0.0, 0.0), waypoint=(3.0, 4.0), velocity=(30.0, 40.0))
-    position, velocity, waypoint, _ = node.step(1.0, random.Random(0)).node()
-    assert position == (3.0, 4.0)
-    assert waypoint is None
-    assert velocity == (0.0, 0.0)
+    # 50 m at 5 m per step: steps 1..9 fall short, step 10 arrives
+    walk = on_leg(walker(dt=1.0), (30.0, 40.0), 5.0)
+    assert at(walk, 9) == pytest.approx((27.0, 36.0))
+    assert at(walk, 10) == (30.0, 40.0)
+    assert walk.velocity(0, 10) == (0.0, 0.0)
+    # a step longer than the leg lands on the waypoint, too
+    assert at(on_leg(walker(dt=1.0), (3.0, 4.0), 50.0), 1) == (3.0, 4.0)
+
+
+def test_arrival_is_the_first_step_whose_travel_covers_the_distance():
+    walk = walker()
+    rng = random.Random(3)
+    for _ in range(2000):
+        origin = (rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0))
+        to = (rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0))
+        leg = walk.leg(1, 7, *origin, *to, rng.uniform(*SPEED_RANGE))
+        k = leg.arrive - leg.start + 1
+        distance = math.dist(origin, to)
+        assert leg.length * k >= distance
+        assert k == 1 or leg.length * (k - 1) < distance
 
 
 def test_step_arrival_starts_pause():
-    node = roamer(position=(0.0, 0.0), waypoint=(1.0, 0.0), velocity=(10.0, 0.0))
-    assert node.step(1.0, random.Random(0), pause_s=0.5).node()[3] == 0.5
-    # pausing burns time without moving or drawing
-    rng = random.Random(0)
-    state = rng.getstate()
-    position, velocity, waypoint, pause = node.step(0.3, rng, pause_s=0.5).node()
-    assert position == (1.0, 0.0)
-    assert velocity == (0.0, 0.0)
-    assert waypoint is None
-    assert pause == pytest.approx(0.2)
-    assert rng.getstate() == state
+    walk = on_leg(walker(dt=0.3, pause_s=0.5), (1.0, 0.0), 10.0)
+    leg = walk.legs[0]
+    assert leg.arrive == 1
+    assert leg.next_start == 1 + 1 + math.ceil(0.5 / 0.3) == 4
+    # pausing: on the waypoint, standing still, no new leg drawn
+    for step in (1, 2, 3):
+        assert at(walk, step) == (1.0, 0.0)
+        assert walk.velocity(0, step) == (0.0, 0.0)
+        assert walk.legs[0] is leg
+    at(walk, 4)
+    assert (walk.legs[0].index, walk.legs[0].start) == (2, 4)
+    assert (walk.x[0], walk.y[0]) != (1.0, 0.0)
+    # without a pause the next leg moves on the step after arrival
+    walk = on_leg(walker(dt=0.3), (1.0, 0.0), 10.0)
+    assert walk.legs[0].next_start == 2
 
 
 def test_step_draws_exactly_three_variates_per_leg():
     rng = random.Random(77)
-    shadow = random.Random(77)
-    roamer(position=(150.0, 150.0)).step(0.025, rng)
-    shadow.uniform(TERRAIN[0], TERRAIN[2])
-    shadow.uniform(TERRAIN[1], TERRAIN[3])
-    shadow.uniform(*SPEED_RANGE)
-    assert rng.getstate() == shadow.getstate()
+    walk = walker(seed=77, rects=(TERRAIN, TERRAIN))
+    # one 64-bit seed per node, drawn from the mobility stream in index order
+    assert walk.seeds == [rng.getrandbits(64).to_bytes(8, "little") for _ in range(2)]
+    seed = walk.seeds[0]
+    u, v, _ = leg_variates(seed, 0)
+    assert (walk.x[0], walk.y[0]) == (300.0 * u, 300.0 * v)  # leg 0 is the placement
+    legs = {}
+    step = 0
+    while len(legs) < 6:
+        step += 1
+        walk.advance([0], step)
+        legs[walk.legs[0].index] = walk.legs[0]
+    for j, leg in legs.items():
+        u, v, w = leg_variates(seed, j)
+        assert (leg.wx, leg.wy) == (300.0 * u, 300.0 * v)
+        assert leg.length == (5.0 + 45.0 * w) * 0.025
+        assert all(0.0 <= x < 1.0 and (x * 2 ** 53).is_integer() for x in (u, v, w))
+    assert leg_variates(seed, 1) != leg_variates(seed, 2)
+    assert leg_variates(seed, 1) != leg_variates(walk.seeds[1], 1)
 
 
 def test_step_requires_positive_dt():
     with pytest.raises(ValueError):
-        roamer().step(0.0, random.Random(0))
+        walker(dt=0.0)
 
 
 def test_walk_stays_inside_terrain():
-    rng = random.Random(3)
-    node = roamer(position=(150.0, 150.0))
-    for _ in range(4_000):
-        (x, y), _, _, _ = node.step(0.025, rng).node()
+    walk = walker(seed=3)
+    for step in range(1, 4_001):
+        x, y = at(walk, step)
         assert TERRAIN[0] <= x <= TERRAIN[2]
         assert TERRAIN[1] <= y <= TERRAIN[3]
 
 
 def test_long_walk_concentrates_toward_center():
     # well-known waypoint bias: time-averaged positions pull to the middle
-    rng = random.Random(11)
-    node = roamer(position=(0.0, 0.0))
+    walk = walker(seed=11)
     center = (150.0, 150.0)
-    distances = []
-    for _ in range(40_000):
-        distances.append(math.dist(node.step(0.025, rng).node()[0], center))
+    distances = [math.dist(at(walk, step), center) for step in range(1, 40_001)]
     # uniform placement would average ~0.3826 * side on a square
     uniform_mean = 0.3826 * 300.0
     assert statistics.fmean(distances) < 0.9 * uniform_mean
 
 
-def test_population_step_equals_each_node_alone_in_index_order():
-    # Both nodes draw a leg on the first step, each in its own rect, so
-    # the second's leg comes from the stream the first left behind.
-    other = (300.0, 0.0, 600.0, 300.0)
-    pair = Roamers([(10.0, 10.0), (400.0, 100.0)], [None, None],
-                   [(0.0, 0.0), (0.0, 0.0)], [0.0, 0.0])
-    pair.rect[1] = other
-    first, second = roamer((10.0, 10.0)), roamer((400.0, 100.0))
-    second.rect = [other]
-    rng = random.Random(5)
-    alone = random.Random(5)
-    for _ in range(200):
-        pair.step(0.25, rng, pause_s=0.5)
-        first.step(0.25, alone, pause_s=0.5)
-        second.step(0.25, alone, pause_s=0.5)
-        assert (pair.node(0), pair.node(1)) == (first.node(), second.node())
-    assert rng.getstate() == alone.getstate()
+def test_jumping_to_a_step_equals_stepping_there():
+    rects = (TERRAIN, (300.0, 0.0, 600.0, 300.0), TERRAIN)
+    stepped = walker(dt=0.25, pause_s=0.6, seed=5, rects=rects)
+    jumped = walker(dt=0.25, pause_s=0.6, seed=5, rects=rects)
+    sparse = walker(dt=0.25, pause_s=0.6, seed=5, rects=rects)
+    for step in range(1, 2_001):
+        stepped.advance(range(3), step)
+        if step % 97 == 0:
+            sparse.advance([1], step)  # one node read now and then
+    jumped.advance(range(3), 2_000)
+    sparse.advance(range(3), 2_000)
+    assert stepped.legs[0].index > 20
+    for walk in (jumped, sparse):
+        assert (walk.x, walk.y, walk.legs) == (stepped.x, stepped.y, stepped.legs)
 
 
 def test_cluster_rects_disjoint_and_sized():
@@ -193,19 +212,42 @@ def test_packet_conservation_is_exact(kw):
     assert m.generated == m.delivered + m.dropped_queue + m.dropped_range + m.in_flight
 
 
-def test_engine_steps_mobility_once_per_step_after_step_0(monkeypatch):
+def test_engine_steps_mobility_once_per_step_and_only_endpoints_between_epochs(monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(len(args[0]))
-        step_mobility(*args)
+    def counting(walk, nodes, step):
+        calls.append((step, list(nodes)))
+        step_mobility(walk, nodes, step)
 
     monkeypatch.setattr(simulator, "step_mobility", counting)
-    sc = desk(seed=4)
-    duration = 2.0
-    run_scenario(sc, duration)
+    sc = desk(seed=4, neighbor_verification=True)
+    duration = 8.0  # verification runs out of pairs before the end
+    engine = simulator._Engine(sc, duration)
+    engine.execute()
     steps = round(duration / sc.mobility_step_s)
-    assert calls == [sc.clusters * sc.nodes_per_cluster] * steps
+    assert [step for step, _ in calls] == list(range(1, steps + 1))
+    endpoints = sorted({f.src for f in engine.flows} | {f.dst for f in engine.flows})
+    everyone = list(range(sc.clusters * sc.nodes_per_cluster))
+    assert len(endpoints) < len(everyone)
+    # Every node at an epoch while verification has work left, then only
+    # the flow endpoints.
+    at_epochs = [nodes for step, nodes in calls if step % engine.epoch_every == 0]
+    working = at_epochs.count(everyone)
+    assert 0 < working < len(at_epochs)
+    assert at_epochs == [everyone] * working + [endpoints] * (len(at_epochs) - working)
+    assert all(nodes == endpoints for step, nodes in calls if step % engine.epoch_every)
+
+
+def test_positions_do_not_depend_on_mode_verification_or_attackers():
+    positions = []
+    for kw in (dict(sfv_mode="off"),
+               dict(sfv_mode="sfv-ranging", neighbor_verification=True,
+                    attacker_fraction=0.1, attacker_kind="mixed")):
+        engine = simulator._Engine(desk(seed=5, **kw), 3.0)
+        engine.execute()
+        engine.walk.advance(engine.every_node, 137)
+        positions.append((engine.x, engine.y))
+    assert positions[0] == positions[1]
 
 
 def test_one_generation_event_per_tick_for_all_flows(monkeypatch):
@@ -297,6 +339,9 @@ def test_throughput_never_exceeds_offered_load():
     dict(cluster_width=1501.0),  # two clusters: two 1500 x 3000 m cells
     dict(cluster_height=3001.0),
     dict(clusters=4, cluster_width=1500.1, cluster_height=1000.0),
+    dict(clusters=10 ** 400),  # beyond math.sqrt's float range, too
+    dict(nodes_per_cluster=100_000_000),
+    dict(clusters=1000, nodes_per_cluster=101),  # 101,000 nodes, cap 100,000
 ])
 def test_invalid_scenarios_rejected(kw):
     if "attacker_kind" in kw:
