@@ -134,21 +134,20 @@ def compare_analytic_empirical(
     return rows
 
 
-def emit_csv(records: list[dict], destination, fieldnames: list[str] | None = None) -> None:
+def emit_csv(records: list[dict], destination) -> None:
     """Write records as a deterministic RFC-4180-style CSV.
 
-    destination is a path or a writable text file.  Column order follows
-    fieldnames, defaulting to the first record's key order; every record
-    must share the schema.  Identical records yield identical bytes.
+    destination is a path or a writable text file.  Columns follow the
+    first record's key order; every record must share its keys.
+    Identical records yield identical bytes.
     """
     import csv
 
     if not records:
         raise ValueError("refusing to emit an empty csv")
-    if fieldnames is None:
-        fieldnames = list(records[0].keys())
+    fieldnames = list(records[0])
     for record in records:
-        if set(record.keys()) != set(fieldnames):
+        if record.keys() != records[0].keys():
             raise ValueError("records do not share one schema")
 
     def write(out) -> None:

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: run one scenario, sweep one variable, tabulate the analytic
-detection model, print key-space figures, or trace a single handshake.
-All outputs are deterministic for equal seeds; CSV goes to --out or
-stdout.
+Subcommands: run one scenario, sweep one scenario variable, tabulate the
+detection model against sampled replay attempts, tabulate key-space
+figures, or trace a single handshake.  All outputs are deterministic for
+equal seeds; tables are CSV, written to --out or stdout.
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ import random
 import sys
 from dataclasses import fields
 
-from .adversary import ReplayProfile, WormholeTunnel, wormhole_perturb
+from .adversary import WormholeTunnel, wormhole_perturb
 from .analytics import (
     brute_force_average,
     compare_analytic_empirical,
     detection_probability,
-    detection_rate,
-    DetectionModel,
     emit_csv,
     keyspace_size,
     scientific_string,
 )
-from .config import build_scenario, load_config
+from .config import build_replay_profile, build_scenario, load_config
 from .model import IdPool, KEY_BITS, NodeProfile, draw_distinct_ids
 from .protocol import HandshakeConfig, handshake_transcript, transcript_lines
 from .ranging import evidence_for_link
@@ -56,49 +54,34 @@ def _cmd_run(args) -> int:
     return 0
 
 
+# Each sweep variable and the Scenario keys one of its values sets.
+SWEEP_KEYS = {
+    "tx_rate": ("tx_rate_kbps",),
+    "node_speed": ("node_speed_min", "node_speed_max"),
+}
+
+
 def _cmd_sweep(args) -> int:
+    if args.repetitions < 1:
+        raise ValueError(f"--repetitions must be at least 1: {args.repetitions}")
     options = _load_options(args)
-    values = [part.strip() for part in args.values.split(",") if part.strip()]
+    values = [float(part) for part in args.values.split(",") if part.strip()]
     if not values:
         raise ValueError("sweep needs at least one value")
     base_seed = args.seed if args.seed is not None else 1
 
-    if args.variable == "n_ids":
-        profile = ReplayProfile.calibrated(args.detection_probability)
-        rows = compare_analytic_empirical(
-            [int(v) for v in values], profile,
-            attempts=args.attempts, seed=base_seed,
-        )
-        records = [
-            {
-                "n_ids": row.n_ids,
-                "analytic_rate": row.analytic,
-                "empirical_rate": row.empirical,
-                "abs_gap": row.abs_gap,
-                "attempts": row.attempts,
-            }
-            for row in rows
-        ]
-        emit_csv(records, args.out or sys.stdout)
-        return 0
-
     records = []
     for value in values:
         for repetition in range(args.repetitions):
-            seed = base_seed + repetition
-            overrides = {
-                "master_seed": seed,
-                "sfv_mode": args.mode,
-                "duration_s": args.duration,
-            }
-            if args.variable == "tx_rate":
-                overrides["tx_rate_kbps"] = float(value)
-            else:  # node_speed
-                overrides["node_speed_min"] = float(value)
-                overrides["node_speed_max"] = float(value)
-            scenario, duration = build_scenario(options, **overrides)
+            scenario, duration = build_scenario(
+                options,
+                master_seed=base_seed + repetition,
+                sfv_mode=args.mode,
+                duration_s=args.duration,
+                **dict.fromkeys(SWEEP_KEYS[args.variable], value),
+            )
             metrics = run_scenario(scenario, duration)
-            record = {"variable": args.variable, "value": float(value)}
+            record = {"variable": args.variable, "value": value}
             record.update(_metrics_record(metrics))
             records.append(record)
     emit_csv(records, args.out or sys.stdout)
@@ -106,24 +89,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    if args.p_wormhole is not None or args.p_id is not None or args.p_rtt is not None:
-        if None in (args.p_wormhole, args.p_id, args.p_rtt):
-            raise ValueError("give all of --p-wormhole, --p-id, --p-rtt or none")
-        profile = ReplayProfile(args.p_wormhole, args.p_id, args.p_rtt)
-    else:
-        profile = ReplayProfile.calibrated(args.detection_probability)
+    profile = build_replay_profile(vars(args))
     n_values = [int(part) for part in args.n_ids.split(",") if part.strip()]
     single = detection_probability(profile)
+    rows = compare_analytic_empirical(n_values, profile, attempts=args.attempts, seed=args.seed)
     records = [
         {
-            "n_ids": n,
+            "n_ids": row.n_ids,
             "p_wormhole": profile.p_wormhole,
             "p_id_replay": profile.p_id_replay,
             "p_rtt_replay": profile.p_rtt_replay,
             "detection_probability": single,
-            "detection_rate": detection_rate(DetectionModel(profile, n)),
+            "detection_rate": row.analytic,
+            "empirical_rate": row.empirical,
+            "abs_gap": row.abs_gap,
+            "attempts": row.attempts,
         }
-        for n in n_values
+        for row in rows
     ]
     emit_csv(records, args.out or sys.stdout)
     return 0
@@ -131,22 +113,13 @@ def _cmd_detect(args) -> int:
 
 def _cmd_keyspace(args) -> int:
     size = keyspace_size(args.bits)
-    average = brute_force_average(args.bits)
-    if args.out:
-        emit_csv(
-            [{
-                "bits": args.bits,
-                "keys": size,
-                "brute_force_average": average,
-                "scientific": scientific_string(size),
-            }],
-            args.out,
-        )
-    else:
-        print(f"key width: {args.bits} bits")
-        print(f"distinct keys: {size}")
-        print(f"scientific: {scientific_string(size)}")
-        print(f"average exhaustive-search trials: {average}")
+    record = {
+        "bits": args.bits,
+        "keys": size,
+        "brute_force_average": brute_force_average(args.bits),
+        "scientific": scientific_string(size),
+    }
+    emit_csv([record], args.out or sys.stdout)
     return 0
 
 
@@ -201,29 +174,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one variable over comma-separated values")
     common(p_sweep)
-    p_sweep.add_argument("--variable", required=True,
-                         choices=("tx_rate", "node_speed", "n_ids"))
+    p_sweep.add_argument("--variable", required=True, choices=tuple(SWEEP_KEYS))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated sweep values")
     p_sweep.add_argument("--repetitions", type=int, default=1,
                          help="seeded repetitions per value (seed, seed+1, ...)")
-    p_sweep.add_argument("--attempts", type=int, default=10_000,
-                         help="simulated attacker attempts per point (n_ids sweeps)")
-    p_sweep.add_argument("--detection-probability", type=float, default=0.35,
-                         help="single-verification detection target (n_ids sweeps)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_detect = sub.add_parser("detect", help="tabulate the analytic detection model")
+    p_detect = sub.add_parser(
+        "detect", help="tabulate the detection model against sampled replay attempts")
     p_detect.add_argument("--detection-probability", type=float, default=0.35)
     p_detect.add_argument("--p-wormhole", type=float, dest="p_wormhole")
-    p_detect.add_argument("--p-id", type=float, dest="p_id")
-    p_detect.add_argument("--p-rtt", type=float, dest="p_rtt")
+    p_detect.add_argument("--p-id", type=float, dest="p_id_replay")
+    p_detect.add_argument("--p-rtt", type=float, dest="p_rtt_replay")
     p_detect.add_argument("--n-ids", default="1,2,4,6,8",
                           help="comma-separated verifier id counts")
+    p_detect.add_argument("--attempts", type=int, default=10_000,
+                          help="sampled replay attempts per id count")
+    p_detect.add_argument("--seed", type=int, default=1, help="seed of the sampled attempts")
     p_detect.add_argument("--out")
     p_detect.set_defaults(func=_cmd_detect)
 
-    p_keys = sub.add_parser("keyspace", help="print exhaustive-search figures")
+    p_keys = sub.add_parser("keyspace", help="tabulate exhaustive-search figures")
     p_keys.add_argument("--bits", type=int, default=KEY_BITS)
     p_keys.add_argument("--out")
     p_keys.set_defaults(func=_cmd_keyspace)

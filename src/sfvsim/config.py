@@ -90,15 +90,22 @@ def build_scenario(options: dict, **overrides) -> tuple[Scenario, float]:
 
     duration = merged.pop("duration_s", 60.0)
     handshake = HandshakeConfig(**{k: merged.pop(k) for k in _HANDSHAKE_KEYS if k in merged})
-
-    replay_profile = None
-    explicit = {k: merged.pop(k) for k in _REPLAY_KEYS if k in merged}
-    target = merged.pop("detection_probability", None)
-    if explicit:
-        if len(explicit) < len(_REPLAY_KEYS):
-            raise ValueError("replay profile needs all of p_wormhole, p_id_replay, p_rtt_replay")
-        replay_profile = ReplayProfile(**explicit)
-    elif target is not None:
-        replay_profile = ReplayProfile.calibrated(target)
-
+    replay_profile = build_replay_profile(
+        {k: merged.pop(k) for k in (*_REPLAY_KEYS, "detection_probability") if k in merged})
     return Scenario(handshake=handshake, replay_profile=replay_profile, **merged), duration
+
+
+def build_replay_profile(options: dict) -> ReplayProfile | None:
+    """The replay profile that options' p_wormhole, p_id_replay, p_rtt_replay
+    and detection_probability describe; a value of None counts as absent.
+
+    All three probabilities or none: without them the profile is calibrated
+    to detection_probability, or is None when that is absent too.
+    """
+    given = {k: options[k] for k in _REPLAY_KEYS if options.get(k) is not None}
+    if given:
+        if len(given) < len(_REPLAY_KEYS):
+            raise ValueError("replay profile needs all of p_wormhole, p_id_replay, p_rtt_replay")
+        return ReplayProfile(**given)
+    target = options.get("detection_probability")
+    return None if target is None else ReplayProfile.calibrated(target)

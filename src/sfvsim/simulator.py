@@ -34,6 +34,9 @@ from .ranging import ScanPlan, evidence_for_link, scan_for_neighbor
 SFV_MODES = ("off", "sfv", "sfv-ranging")
 # The largest population a Scenario accepts, 125 times the reference one.
 MAX_NODES = 100_000
+# The most mobility steps, CBR ticks or attack waves one run may take; the
+# reference 60 s run takes 2,400 steps and 14,649 ticks.
+MAX_STEPS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,10 @@ class Scenario:
                      "attack_interval_s", "handshake_base_s", "tunnel_latency_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive: {getattr(self, name)}")
+        for name in ("discovery_interval_s", "pause_s"):
+            if getattr(self, name) / self.mobility_step_s > MAX_STEPS:
+                raise ValueError(f"{name} spans more than {MAX_STEPS} steps of mobility_step_s: "
+                                 f"{getattr(self, name)} / {self.mobility_step_s}")
         _, cell_w, cell_h = self.cluster_grid
         for name, cell in (("cluster_width", cell_w), ("cluster_height", cell_h)):
             if getattr(self, name) > cell:
@@ -423,6 +430,15 @@ class _Engine:
             scenario.packet_bits / (scenario.tx_rate_kbps * 1000.0)
             if scenario.tx_rate_kbps > 0 else None
         )
+        intervals = [("mobility steps", "mobility_step_s", scenario.mobility_step_s)]
+        if self.gen_interval is not None and scenario.flows_per_cluster > 0:
+            intervals.append(("CBR ticks", "tx_rate_kbps", self.gen_interval))
+        if round(scenario.attacker_fraction * scenario.nodes_per_cluster) > 0:
+            intervals.append(("attack waves", "attack_interval_s", scenario.attack_interval_s))
+        for what, key, interval in intervals:
+            if interval * MAX_STEPS < self.duration:
+                raise ValueError(f"duration_s = {self.duration} needs more than {MAX_STEPS} "
+                                 f"{what} at this {key}: {getattr(scenario, key)}")
         self.epoch_every = max(1, round(scenario.discovery_interval_s / scenario.mobility_step_s))
         # wormhole_perturb reads only the latency, so all attackers share one.
         self.tunnel = WormholeTunnel("wormhole-mouth", "wormhole-far", scenario.tunnel_latency_s)

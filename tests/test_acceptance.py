@@ -268,8 +268,8 @@ def test_criterion_8_scan_schedule_exact():
 
 
 def test_criterion_9_sweep_determinism(tmp_path):
-    """Two sweep invocations with equal seeds write byte-identical CSVs,
-    for both scenario sweeps and analytic-vs-empirical sweeps."""
+    """Two invocations with equal seeds write byte-identical CSVs, for
+    both scenario sweeps and the analytic-vs-empirical detection table."""
     scenario_args = ["sweep", "--variable", "tx_rate", "--values", "200,600",
                      "--repetitions", "2", "--seed", "17", "--duration", "1.5",
                      "--mode", "sfv-ranging"]
@@ -278,11 +278,10 @@ def test_criterion_9_sweep_determinism(tmp_path):
     assert main(scenario_args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
 
-    ids_args = ["sweep", "--variable", "n_ids", "--values", "1,2,4",
-                "--attempts", "2000", "--seed", "9"]
+    ids_args = ["detect", "--n-ids", "1,2,4", "--attempts", "2000", "--seed", "9"]
     third, fourth = tmp_path / "c.csv", tmp_path / "d.csv"
     assert main(ids_args + ["--out", str(third)]) == 0
     assert main(ids_args + ["--out", str(fourth)]) == 0
     assert third.read_bytes() == fourth.read_bytes()
     print(f"criterion 9: {first.stat().st_size}-byte and "
-          f"{third.stat().st_size}-byte sweeps byte-identical across reruns")
+          f"{third.stat().st_size}-byte tables byte-identical across reruns")

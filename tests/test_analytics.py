@@ -142,8 +142,8 @@ def test_emit_parse_round_trip(tmp_path):
 
 def test_emit_csv_to_stream_and_field_order():
     out = io.StringIO()
-    emit_csv([{"b": 1, "a": 2}], out, fieldnames=["a", "b"])
-    assert out.getvalue().splitlines()[0] == "a,b"
+    emit_csv([{"b": 1, "a": 2}, {"a": 3, "b": 4}], out)
+    assert out.getvalue().splitlines() == ["b,a", "1,2", "4,3"]
 
 
 def test_emit_csv_schema_enforced():

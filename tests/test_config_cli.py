@@ -301,8 +301,16 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "cluster_width = 5000\n",
     "clusters = 1" + "0" * 400 + "\n",  # too large for math.sqrt's float
     "nodes_per_cluster = 100000000\n",
+    "mobility_step_s = 1e-320\n",
+    "mobility_step_s = 1e-12\n",
+    "pause_s = 1e7\n",
+    "tx_rate_kbps = 1e9\n",
+    "attack_interval_s = 1e-9\nattacker_fraction = 0.05\n",
+    "duration_s = 1e9\n",
 ], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell",
-        "clusters-overflow", "nodes-beyond-cap"])
+        "clusters-overflow", "nodes-beyond-cap", "step-subnormal", "step-beyond-cap",
+        "pause-beyond-cap", "ticks-beyond-cap", "attack-waves-beyond-cap",
+        "duration-beyond-cap"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
                                                             no_simulation, capsys):
     cfg = tmp_path / "s.cfg"
@@ -337,33 +345,67 @@ def test_cli_sweep_repeat_invocations_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_sweep_n_ids_table(tmp_path):
-    out = tmp_path / "ids.csv"
-    code = main(["sweep", "--variable", "n_ids", "--values", "1,2",
-                 "--attempts", "500", "--seed", "11", "--out", str(out)])
-    assert code == 0
-    lines = _lines(out.read_text())
-    assert lines[0] == "n_ids,analytic_rate,empirical_rate,abs_gap,attempts"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    assert float(first[1]) == pytest.approx(0.35, abs=1e-12)
-    assert first[4] == "500"
-
-
 def test_cli_sweep_no_values_exits_2(capsys):
     assert main(["sweep", "--variable", "tx_rate", "--values", " , "]) == 2
     assert "at least one value" in capsys.readouterr().err
 
 
+def test_cli_sweep_repetitions_below_one_exits_2(no_simulation, capsys):
+    assert main(["sweep", "--variable", "tx_rate", "--values", "200",
+                 "--repetitions", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--repetitions" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--variable", "n_ids", "--values", "1,2"],
+    ["sweep", "--variable", "tx_rate", "--values", "200", "--attempts", "5"],
+    ["sweep", "--variable", "tx_rate", "--values", "200", "--detection-probability", "0.5"],
+], ids=["n-ids-variable", "attempts", "detection-probability"])
+def test_cli_sweep_refuses_detection_options(argv, no_simulation, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+DETECT_HEADER = ("n_ids,p_wormhole,p_id_replay,p_rtt_replay,detection_probability,"
+                 "detection_rate,empirical_rate,abs_gap,attempts")
+
+
 def test_cli_detect_default_table(capsys):
     assert main(["detect"]) == 0
     lines = _lines(capsys.readouterr().out)
-    header = "n_ids,p_wormhole,p_id_replay,p_rtt_replay,detection_probability,detection_rate"
-    assert lines[0] == header
+    assert lines[0] == DETECT_HEADER
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "4", "6", "8"]
     n2 = lines[2].split(",")
     assert float(n2[5]) == pytest.approx(1 - 0.65 ** 2, rel=1e-12)
+    assert n2[8] == "10000"
+
+
+def test_cli_detect_sampled_table(tmp_path):
+    out = tmp_path / "ids.csv"
+    code = main(["detect", "--n-ids", "1,2", "--attempts", "500", "--seed", "11",
+                 "--out", str(out)])
+    assert code == 0
+    lines = _lines(out.read_text())
+    assert lines[0] == DETECT_HEADER
+    assert len(lines) == 3
+    first = lines[1].split(",")
+    assert first[0] == "1"
+    assert float(first[5]) == pytest.approx(0.35, abs=1e-12)
+    assert float(first[7]) == abs(float(first[5]) - float(first[6]))
+    assert first[8] == "500"
+
+
+@pytest.mark.parametrize("flags", [["--seed", "12"], ["--attempts", "501"]])
+def test_cli_detect_sampling_knobs_change_the_table(flags, capsys):
+    base = ["detect", "--n-ids", "1,2,4", "--attempts", "500", "--seed", "11"]
+    assert main(base) == 0
+    first = capsys.readouterr().out
+    assert main(base + flags) == 0
+    assert capsys.readouterr().out != first
 
 
 def test_cli_detect_explicit_probabilities(capsys):
@@ -381,19 +423,23 @@ def test_cli_detect_partial_probabilities_exit_2(capsys):
 
 def test_cli_keyspace_stdout(capsys):
     assert main(["keyspace"]) == 0
-    out = capsys.readouterr().out
-    assert "90 bits" in out
-    assert "1237940039285380274899124224" in out
-    assert "1.237940039e+27" in out
-    assert "618970019642690137449562112" in out
+    lines = _lines(capsys.readouterr().out)
+    assert lines == [
+        "bits,keys,brute_force_average,scientific",
+        "90,1237940039285380274899124224,618970019642690137449562112,1.237940039e+27",
+    ]
 
 
-def test_cli_keyspace_csv(tmp_path):
+def test_cli_keyspace_csv(tmp_path, capsys):
     out = tmp_path / "keys.csv"
     assert main(["keyspace", "--bits", "32", "--out", str(out)]) == 0
     lines = _lines(out.read_text())
     assert lines[0] == "bits,keys,brute_force_average,scientific"
     assert lines[1] == f"32,{2**32},{2**31},4.294967296e+9"
+    # stdout carries the same bytes as --out
+    assert main(["keyspace", "--bits", "32"]) == 0
+    with open(out, newline="") as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def test_cli_handshake_friendly(capsys):

@@ -10,6 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from sfvsim import simulator
+from sfvsim.adversary import ReplayProfile
+from sfvsim.analytics import DetectionModel, detection_rate
 from sfvsim.simulator import (
     SFV_MODES,
     RandomWaypoint,
@@ -342,6 +344,8 @@ def test_throughput_never_exceeds_offered_load():
     dict(clusters=10 ** 400),  # beyond math.sqrt's float range, too
     dict(nodes_per_cluster=100_000_000),
     dict(clusters=1000, nodes_per_cluster=101),  # 101,000 nodes, cap 100,000
+    dict(mobility_step_s=1e-320),  # discovery epochs of infinitely many steps
+    dict(pause_s=1e7),  # a pause of 4e8 steps, cap 1e8
 ])
 def test_invalid_scenarios_rejected(kw):
     if "attacker_kind" in kw:
@@ -388,6 +392,25 @@ def test_wormhole_attackers_detected_by_thresholds():
     m = run_scenario(sc, 10.0)
     assert m.attack_attempts > 0
     assert m.empirical_detection_rate == 1.0
+
+
+def test_replay_detection_follows_the_detect_curve():
+    # Each replay attack faces one sampled verification per id, so the
+    # engine's detection rate should sit on 1 - (1 - P)^n, the curve
+    # `sfvsim detect` prints: 10 attackers x 600 waves = 6,000 attempts.
+    profile = ReplayProfile.calibrated(0.35)
+    rates = []
+    for n_ids in (1, 2, 4, 8):
+        sc = desk(seed=1, cluster_width=400.0, cluster_height=400.0, flows_per_cluster=0,
+                  attacker_fraction=0.25, attacker_kind="replay", replay_profile=profile,
+                  attack_interval_s=0.05, n_ids=n_ids)
+        m = run_scenario(sc, 30.0)
+        expected = detection_rate(DetectionModel(profile, n_ids))
+        sigma = math.sqrt(expected * (1.0 - expected) / m.attack_attempts)
+        assert m.attack_attempts == 6_000
+        assert abs(m.empirical_detection_rate - expected) <= 3 * sigma
+        rates.append(m.empirical_detection_rate)
+    assert rates == sorted(rates) and len(set(rates)) == len(rates)
 
 
 def test_full_scale_counts_have_the_right_order():
