@@ -11,9 +11,9 @@ modeled probabilistically per verification check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .model import IdPool, NodeProfile, RangingEvidence, SymmetricId
+from .model import IdPool, NodeProfile, RangingEvidence, select_symmetric_id
 from .protocol import HandshakeConfig, Verdict, run_handshake
 from .ranging import LIGHTSPEED
 
@@ -60,24 +60,21 @@ def wormhole_perturb(
 
 
 @dataclass
-class SybilIdentitySet:
+class SybilIdentitySet(IdPool):
     """False identities one attacker presents as distinct neighbors.
 
-    Claimed IDs must be disjoint from the honest pool; the simulator
-    draws them so, since only it sees both sets.  The cursor cycles so
-    consecutive attempts impersonate successive identities.
+    The pool's ids are the claimed ones.  They must be disjoint from the
+    honest pool; the simulator draws them so, since only it sees both
+    sets.  The cursor cycles so consecutive attempts impersonate
+    successive identities.
     """
 
-    claimed_ids: list[SymmetricId]
-    victim: str
-    next_index: int = 0
+    victim: str = field(kw_only=True)
 
     def __post_init__(self):
-        if not self.claimed_ids:
+        if not self.ids:
             raise ValueError("a sybil attacker needs at least one claimed id")
-        values = [i.value for i in self.claimed_ids]
-        if len(set(values)) != len(values):
-            raise ValueError("claimed ids contain duplicates")
+        super().__post_init__()
 
 
 def sybil_attempt(
@@ -92,8 +89,7 @@ def sybil_attempt(
     The attacker is physically co-located (evidence passes thresholds) but
     its claimed ID seeds the wrong keystream word, so checksums fail.
     """
-    claimed = attacker.claimed_ids[attacker.next_index % len(attacker.claimed_ids)]
-    attacker.next_index = (attacker.next_index + 1) % len(attacker.claimed_ids)
+    claimed = select_symmetric_id(attacker)
     impostor = NodeProfile(
         node_id=f"sybil-against-{attacker.victim}",
         position=victim.position,

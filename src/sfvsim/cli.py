@@ -26,7 +26,7 @@ from .config import build_replay_profile, build_scenario, load_config
 from .model import IdPool, KEY_BITS, NodeProfile, draw_distinct_ids
 from .protocol import HandshakeConfig, handshake_transcript, transcript_lines
 from .ranging import evidence_for_link
-from .simulator import SFV_MODES, ScenarioMetrics, run_scenario
+from .simulator import SFV_MODES, ScenarioMetrics, check_run, run_scenario
 
 
 def _metrics_record(metrics: ScenarioMetrics) -> dict:
@@ -68,9 +68,10 @@ def _cmd_sweep(args) -> int:
     values = [float(part) for part in args.values.split(",") if part.strip()]
     if not values:
         raise ValueError("sweep needs at least one value")
-    base_seed = args.seed if args.seed is not None else 1
+    base_seed = args.seed if args.seed is not None else options.get("master_seed", 1)
 
-    records = []
+    # Every point is built and checked before the first one runs.
+    points = []
     for value in values:
         for repetition in range(args.repetitions):
             scenario, duration = build_scenario(
@@ -80,10 +81,14 @@ def _cmd_sweep(args) -> int:
                 duration_s=args.duration,
                 **dict.fromkeys(SWEEP_KEYS[args.variable], value),
             )
-            metrics = run_scenario(scenario, duration)
-            record = {"variable": args.variable, "value": value}
-            record.update(_metrics_record(metrics))
-            records.append(record)
+            check_run(scenario, duration)
+            points.append((value, scenario, duration))
+
+    records = []
+    for value, scenario, duration in points:
+        record = {"variable": args.variable, "value": value}
+        record.update(_metrics_record(run_scenario(scenario, duration)))
+        records.append(record)
     emit_csv(records, args.out or sys.stdout)
     return 0
 

@@ -167,9 +167,11 @@ class RangingEvidence:
 class NodeProfile:
     """A node's identity, position, velocity and credential pool.
 
-    The simulator builds one per handshake from its own per-node state;
-    the pool object is shared, not copied, so its cursor keeps advancing
-    across handshakes.
+    The simulator builds one per node at placement, standing still there,
+    and hands it to every attack check the node takes part in, so its
+    pool's cursor keeps advancing across handshakes.  Honest links share
+    one lockstep pair of profiles instead.  A handshake reads only the
+    pools.
     """
 
     node_id: str

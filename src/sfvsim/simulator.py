@@ -16,7 +16,7 @@ import math
 import random
 import struct
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 from .adversary import (
@@ -141,6 +141,11 @@ class Scenario:
     @property
     def packet_bits(self) -> int:
         return self.packet_size_bytes * 8
+
+    @property
+    def packet_interval(self) -> float | None:
+        """Seconds between one flow's packets; None at a zero rate."""
+        return self.packet_bits / (self.tx_rate_kbps * 1000.0) if self.tx_rate_kbps > 0 else None
 
     @property
     def cluster_grid(self) -> tuple[int, float, float]:
@@ -285,14 +290,6 @@ class RandomWaypoint:
                 xs[i] = wx
                 ys[i] = wy
 
-    def velocity(self, i: int, step: int) -> tuple[float, float]:
-        """Node i's velocity on `step`, which it must have been brought to."""
-        leg = self.legs[i]
-        if leg.start <= step < leg.arrive:
-            speed = leg.length / self.dt
-            return leg.ux * speed, leg.uy * speed
-        return 0.0, 0.0
-
 
 def step_mobility(walk: RandomWaypoint, nodes, step: int) -> None:
     """The engine's one call per mobility step: bring `nodes` to `step`.
@@ -300,6 +297,25 @@ def step_mobility(walk: RandomWaypoint, nodes, step: int) -> None:
     The engine looks this name up at call time, so a tracer can wrap it.
     """
     walk.advance(nodes, step)
+
+
+def check_run(scenario: Scenario, duration_s: float) -> None:
+    """Refuse a run of duration_s that is not positive and finite, or that
+    would take more than MAX_STEPS mobility steps, CBR ticks or attack waves.
+
+    The engine calls it first; a sweep calls it on every point before any runs.
+    """
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration must be positive and finite: {duration_s}")
+    intervals = [("mobility steps", "mobility_step_s", scenario.mobility_step_s)]
+    if scenario.packet_interval is not None and scenario.flows_per_cluster > 0:
+        intervals.append(("CBR ticks", "tx_rate_kbps", scenario.packet_interval))
+    if round(scenario.attacker_fraction * scenario.nodes_per_cluster) > 0:
+        intervals.append(("attack waves", "attack_interval_s", scenario.attack_interval_s))
+    for what, key, interval in intervals:
+        if interval * MAX_STEPS < duration_s:
+            raise ValueError(f"duration_s = {float(duration_s)} needs more than {MAX_STEPS} "
+                             f"{what} at this {key}: {getattr(scenario, key)}")
 
 
 def cluster_rects(scenario: Scenario) -> list[tuple[float, float, float, float]]:
@@ -398,13 +414,16 @@ class _Engine:
     mobility step (through step_mobility) for the flow endpoints, and for
     every node at a neighbor-verification epoch with work left and at each
     attack wave.  Every handler thus sees the positions of the last
-    mobility step that ran.  A NodeProfile is built on demand, for a
-    handshake.
+    mobility step that ran.
+
+    Credentials are held once.  profiles holds each node's one NodeProfile,
+    built at placement; an attack check hands the victim's and attacker's
+    to the handshake.  Every honest link's handshake runs on honest_pair,
+    whose two pools advance in lockstep.
     """
 
     def __init__(self, scenario: Scenario, duration_s: float):
-        if not (math.isfinite(duration_s) and duration_s > 0):
-            raise ValueError(f"duration must be positive and finite: {duration_s}")
+        check_run(scenario, duration_s)
         self.sc = scenario
         self.duration = float(duration_s)
         root = random.Random(scenario.master_seed)
@@ -426,19 +445,7 @@ class _Engine:
         self.max_range = scenario.radio_ranges[-1]
         self.scan_plan = ScanPlan(scenario.radio_ranges, ranging=scenario.sfv_mode == "sfv-ranging")
         self.data_time = scenario.packet_bits / (scenario.channel_capacity_kbps * 1000.0)
-        self.gen_interval = (
-            scenario.packet_bits / (scenario.tx_rate_kbps * 1000.0)
-            if scenario.tx_rate_kbps > 0 else None
-        )
-        intervals = [("mobility steps", "mobility_step_s", scenario.mobility_step_s)]
-        if self.gen_interval is not None and scenario.flows_per_cluster > 0:
-            intervals.append(("CBR ticks", "tx_rate_kbps", self.gen_interval))
-        if round(scenario.attacker_fraction * scenario.nodes_per_cluster) > 0:
-            intervals.append(("attack waves", "attack_interval_s", scenario.attack_interval_s))
-        for what, key, interval in intervals:
-            if interval * MAX_STEPS < self.duration:
-                raise ValueError(f"duration_s = {self.duration} needs more than {MAX_STEPS} "
-                                 f"{what} at this {key}: {getattr(scenario, key)}")
+        self.gen_interval = scenario.packet_interval
         self.epoch_every = max(1, round(scenario.discovery_interval_s / scenario.mobility_step_s))
         # wormhole_perturb reads only the latency, so all attackers share one.
         self.tunnel = WormholeTunnel("wormhole-mouth", "wormhole-far", scenario.tunnel_latency_s)
@@ -451,59 +458,59 @@ class _Engine:
 
     def _build_population(self) -> None:
         sc = self.sc
-        self.rects = cluster_rects(sc)
-        self.honest_ids = draw_distinct_ids(self.layout_rng, sc.n_ids, set())
-        honest_values = {i.value for i in self.honest_ids}
+        rects = cluster_rects(sc)
+        self.node_cluster = [c for c in range(sc.clusters) for _ in range(sc.nodes_per_cluster)]
+        count = len(self.node_cluster)
+        self.walk = RandomWaypoint([rects[c] for c in self.node_cluster], self.mobility_rng,
+                                   sc.mobility_step_s, (sc.node_speed_min, sc.node_speed_max),
+                                   sc.pause_s)
+        x, y = self.x, self.y = self.walk.x, self.walk.y
+        self.every_node = range(count)
+        # None until a node is first verified; False, once flagged, for good.
+        self.verdict: list[bool | None] = [None] * count
 
-        self.node_id: list[str] = []
-        self.node_role: list[str] = []
-        self.node_pool: list[IdPool] = []
-        self.node_cluster: list[int] = []
-        self.node_rect: list[tuple] = []
+        self.honest_ids = draw_distinct_ids(self.layout_rng, sc.n_ids, set())
+        # Both ends of an honest link start from identical pools and advance
+        # them together, so they always present the same ID; with equal IDs
+        # on equal evidence every block verifies whatever the ID, so one
+        # lockstep pair serves every honest link.
+        self.honest_pair = tuple(
+            NodeProfile(end, (0.0, 0.0), (0.0, 0.0), "honest", IdPool(self.honest_ids))
+            for end in ("initiator", "responder"))
+        # Each node's one profile stands still on its placement, as every
+        # node does on step 0.
+        self.profiles: list[NodeProfile] = []
         self.attacker_kinds: dict[int, str] = {}
-        self.sybil_sets: dict[int, SybilIdentitySet] = {}
         self.honest_by_cluster: list[list[int]] = [[] for _ in range(sc.clusters)]
 
         per_cluster_attackers = round(sc.attacker_fraction * sc.nodes_per_cluster)
         wormhole_pending: list[int] = []
-        taken = set(honest_values)
+        taken = {i.value for i in self.honest_ids}
 
         for c in range(sc.clusters):
-            rect = self.rects[c]
             attacker_slots = set(
                 self.layout_rng.sample(range(sc.nodes_per_cluster), per_cluster_attackers)
                 if per_cluster_attackers else []
             )
             for i in range(sc.nodes_per_cluster):
-                index = len(self.node_id)
+                index = len(self.profiles)
                 node_id = f"c{c}-n{i}"
                 if i in attacker_slots:
                     kind = self._attacker_kind(index)
-                    role = "wormhole-endpoint" if kind == "wormhole" else "sybil"
                     claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
-                    pool = IdPool(list(claimed))
                     self.attacker_kinds[index] = kind
-                    if kind == "sybil" or kind == "replay":
-                        self.sybil_sets[index] = SybilIdentitySet(list(claimed), victim=node_id)
                     if kind == "wormhole":
                         wormhole_pending.append(index)
+                        role, pool = "wormhole-endpoint", IdPool(claimed)
+                    elif kind == "sybil":
+                        role, pool = "sybil", SybilIdentitySet(claimed, victim=node_id)
+                    else:  # replay: nothing reads the pool, but its draw keeps layout_rng's order
+                        role, pool = "sybil", IdPool(claimed)
                 else:
-                    role = "honest"
-                    pool = IdPool(list(self.honest_ids))
+                    role, pool = "honest", IdPool(self.honest_ids)
                     self.honest_by_cluster[c].append(index)
-                self.node_id.append(node_id)
-                self.node_role.append(role)
-                self.node_pool.append(pool)
-                self.node_cluster.append(c)
-                self.node_rect.append(rect)
-
-        count = len(self.node_id)
-        self.walk = RandomWaypoint(self.node_rect, self.mobility_rng, sc.mobility_step_s,
-                                   (sc.node_speed_min, sc.node_speed_max), sc.pause_s)
-        self.x, self.y = self.walk.x, self.walk.y
-        self.every_node = range(count)
-        # None until a node is first verified; False, once flagged, for good.
-        self.verdict: list[bool | None] = [None] * count
+                self.profiles.append(NodeProfile(node_id, (x[index], y[index]), (0.0, 0.0),
+                                                 role, pool))
 
         # Wormhole endpoints pair up in discovery order; an unpaired
         # leftover falls back to sybil behavior.
@@ -511,10 +518,9 @@ class _Engine:
             leftover = wormhole_pending[-1]
             self.attacker_kinds[leftover] = "sybil"
             claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
-            self.sybil_sets[leftover] = SybilIdentitySet(
-                list(claimed), victim=self.node_id[leftover])
-
-        self.pair_pools: dict[tuple[int, int], tuple[IdPool, IdPool]] = {}
+            profile = self.profiles[leftover]
+            self.profiles[leftover] = replace(
+                profile, role="sybil", pool=SybilIdentitySet(claimed, victim=profile.node_id))
 
         # Each honest verifier's not yet verified in-cluster peers in scan
         # order: honest peers, then attackers, each in index order.  A pair
@@ -575,22 +581,6 @@ class _Engine:
         x, y = self.x, self.y
         return math.degrees(math.atan2(y[b] - y[a], x[b] - x[a])) % 360.0
 
-    def _profile(self, i: int, pool: IdPool | None = None) -> NodeProfile:
-        """Node i as a NodeProfile, carrying its own pool unless one is given."""
-        return NodeProfile(
-            node_id=self.node_id[i], position=(self.x[i], self.y[i]),
-            velocity=self.walk.velocity(i, self.mob_step), role=self.node_role[i],
-            pool=self.node_pool[i] if pool is None else pool,
-        )
-
-    def _pair_pools(self, a: int, b: int) -> tuple[IdPool, IdPool]:
-        key = (a, b) if a < b else (b, a)
-        pools = self.pair_pools.get(key)
-        if pools is None:
-            pools = (IdPool(list(self.honest_ids)), IdPool(list(self.honest_ids)))
-            self.pair_pools[key] = pools
-        return pools if a < b else (pools[1], pools[0])
-
     def _evidence(self, a: int, b: int, d_max: float):
         sc = self.sc
         distance_noise = angle_noise = rtt_noise = 0.0
@@ -613,18 +603,12 @@ class _Engine:
         if self.verdict[node_index] is not False:
             self.verdict[node_index] = friendly
 
-    def _handshake(self, a: int, b: int, evidence) -> bool:
-        """Honest nodes a and b verify their link; b's verdict is recorded."""
-        pool_a, pool_b = self._pair_pools(a, b)
+    def _handshake(self, responder: int, evidence) -> bool:
+        """An honest link's handshake; the responder's verdict is recorded."""
         friendly = run_handshake(
-            self._profile(a, pool_a),
-            self._profile(b, pool_b),
-            evidence,
-            self.sc.handshake,
-            self.payload_rng,
-        ).friendly
+            *self.honest_pair, evidence, self.sc.handshake, self.payload_rng).friendly
         self.handshakes += 1
-        self._record_verdict(b, friendly)
+        self._record_verdict(responder, friendly)
         return friendly
 
     # ------------------------------------------------------------------ handlers
@@ -698,7 +682,7 @@ class _Engine:
         elif job[0] == "hs":
             _, _, flow, evidence, selected = job
             flow.handshaking = False
-            if self._handshake(flow.src, flow.dst, evidence):
+            if self._handshake(flow.dst, evidence):
                 flow.selected_range = selected
                 flow.connected = self._distance(flow.src, flow.dst) <= selected
         self._dispatch(cluster)
@@ -779,7 +763,7 @@ class _Engine:
             return
         kind = self.attacker_kinds.get(target)
         if kind is None:
-            self._handshake(verifier, target, self._evidence(verifier, target, d_max))
+            self._handshake(target, self._evidence(verifier, target, d_max))
         else:
             self._attack_verdict(verifier, target, kind, d_max)
 
@@ -824,15 +808,15 @@ class _Engine:
             evidence = self._evidence(victim, attacker, d_max)
             if kind == "wormhole":
                 verdict = run_handshake(
-                    self._profile(victim),
-                    self._profile(attacker),
+                    self.profiles[victim],
+                    self.profiles[attacker],
                     wormhole_perturb(evidence, self.tunnel, self._bearing(victim, attacker)),
                     sc.handshake,
                     self.payload_rng,
                 )
             else:  # sybil
                 verdict = sybil_attempt(
-                    self.sybil_sets[attacker], self._profile(victim), evidence,
+                    self.profiles[attacker].pool, self.profiles[victim], evidence,
                     sc.handshake, self.payload_rng,
                 )
             detected = not verdict.friendly

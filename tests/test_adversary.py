@@ -91,34 +91,34 @@ def test_tunnel_validation():
 
 def test_sybil_identities_must_be_unique():
     with pytest.raises(ValueError):
-        SybilIdentitySet(claimed_ids=[SymmetricId(1), SymmetricId(1)], victim="v")
+        SybilIdentitySet([SymmetricId(1), SymmetricId(1)], victim="v")
+    with pytest.raises(ValueError):
+        SybilIdentitySet([], victim="v")
 
 
 def test_disjointness_check():
-    # Every attacker pool and Sybil set the engine draws is disjoint from the
-    # honest IDs and from every other attacker's.  Mixed attackers, every
-    # node one: sybils at the even indices 0-6, wormhole mouths at 1, 3
-    # and 5, so 1 and 3 pair up and 5 falls back to a sybil with a second
-    # claimed set, whatever the seed draws.
+    # Every attacker pool the engine draws is disjoint from the honest IDs
+    # and from every other attacker's.  Mixed attackers, every node one:
+    # sybils at the even indices 0-6, wormhole mouths at 1, 3 and 5, so 1
+    # and 3 pair up and 5 falls back to a sybil with a second claimed set,
+    # whatever the seed draws.
     sc = simulator.Scenario(clusters=1, nodes_per_cluster=7, master_seed=1,
                   attacker_fraction=1.0, attacker_kind="mixed")
     engine = simulator._Engine(sc, 1.0)
     groups = [{i.value for i in engine.honest_ids}]
     for index in sorted(engine.attacker_kinds):
-        groups.append({i.value for i in engine.node_pool[index].ids})
-        if index in engine.sybil_sets:
-            claimed = {i.value for i in engine.sybil_sets[index].claimed_ids}
-            if claimed != groups[-1]:
-                groups.append(claimed)
+        groups.append({i.value for i in engine.profiles[index].pool.ids})
     assert all(len(group) == sc.n_ids for group in groups)
     assert len(set().union(*groups)) == sc.n_ids * len(groups)
-    assert len(groups) > 1 + len(engine.attacker_kinds)  # the fallback set is in
+    sybils = [index for index, kind in sorted(engine.attacker_kinds.items()) if kind == "sybil"]
+    assert sybils == [0, 2, 4, 5, 6]  # the fallback is in
+    assert all(isinstance(engine.profiles[i].pool, SybilIdentitySet) for i in sybils)
 
 
 def test_sybil_attempts_all_rejected_and_cursor_cycles():
     victim = honest_node()
     attacker = SybilIdentitySet(
-        claimed_ids=[SymmetricId(100), SymmetricId(200), SymmetricId(300)],
+        [SymmetricId(100), SymmetricId(200), SymmetricId(300)],
         victim=victim.node_id,
     )
     ev = evidence_for_link(120.0, 0.0, 270.0)

@@ -336,6 +336,25 @@ def test_cli_sweep_tx_rate_rows(tmp_path):
     assert seeds == ["5", "6", "5", "6"]
 
 
+@pytest.mark.parametrize("flags,seeds", [([], ["9", "10"]), (["--seed", "3"], ["3", "4"])],
+                         ids=["config-seed", "flag-wins"])
+def test_cli_sweep_seeds_start_at_config_master_seed(flags, seeds, tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("master_seed = 9\n")
+    assert main(["sweep", "--config", str(cfg), "--variable", "tx_rate", "--values", "200",
+                 "--repetitions", "2", "--duration", "0.5", "--mode", "off", *flags]) == 0
+    lines = _lines(capsys.readouterr().out)
+    assert [line.split(",")[3] for line in lines[1:]] == seeds
+
+
+def test_cli_sweep_refuses_a_bad_point_before_any_runs(no_simulation, capsys):
+    assert main(["sweep", "--variable", "tx_rate", "--values", "200,1e9",
+                 "--duration", "60"]) == 2
+    captured = capsys.readouterr()
+    assert "tx_rate_kbps" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_sweep_repeat_invocations_byte_identical(tmp_path):
     args = ["sweep", "--variable", "node_speed", "--values", "5,20",
             "--seed", "2", "--duration", "0.5", "--mode", "sfv"]

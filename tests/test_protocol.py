@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfvsim.model import IdPool, NodeProfile, SymmetricId
 from sfvsim.protocol import (
@@ -72,6 +73,32 @@ def test_pools_rotate_in_lockstep():
         assert verdict.friendly
     # cursor wrapped: 5 handshakes over a 3-id pool
     assert a.pool.next_index == b.pool.next_index == 5 % 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.integers(0, (1 << 26) - 1), min_size=2, max_size=2, unique=True),
+    m_blocks=st.integers(1, 12),
+    distance=st.floats(0.0, 400.0),
+    bearing=st.floats(0.0, 360.0, exclude_max=True),
+    d_max=st.sampled_from((230.0, 250.0, 270.0)),
+    payload_seed=st.integers(0, 2 ** 32),
+)
+def test_equal_ids_outcome_independent_of_id_value(values, m_blocks, distance, bearing,
+                                                   d_max, payload_seed):
+    # The simulator runs every honest link on one lockstep pair: with equal
+    # IDs on equal evidence, which ID the pair presents must not show.
+    evidence = evidence_for_link(distance, bearing, d_max)
+    cfg = HandshakeConfig(m_blocks=m_blocks)
+    seen = []
+    for value in values:
+        a, b = friendly_pair(ids=(value,))
+        rng = random.Random(payload_seed)
+        events = []
+        verdict = run_handshake(a, b, evidence, cfg, rng, transcript=events)
+        seen.append((verdict, transcript_lines(events), rng.getstate()))
+    assert seen[0] == seen[1]
+    assert seen[0][0].friendly == (distance <= d_max)
 
 
 def test_threshold_failure_skips_block_phase():
