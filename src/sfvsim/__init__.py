@@ -52,7 +52,6 @@ from .protocol import (
     HandshakeConfig,
     TranscriptEvent,
     Verdict,
-    handshake_transcript,
     run_handshake,
     transcript_lines,
 )

@@ -24,7 +24,7 @@ from .analytics import (
 )
 from .config import build_replay_profile, build_scenario, load_config
 from .model import IdPool, KEY_BITS, NodeProfile, draw_distinct_ids
-from .protocol import HandshakeConfig, handshake_transcript, transcript_lines
+from .protocol import HandshakeConfig, run_handshake, transcript_lines
 from .ranging import evidence_for_link
 from .simulator import SFV_MODES, ScenarioMetrics, check_run, run_scenario
 
@@ -136,17 +136,14 @@ def _cmd_handshake(args) -> int:
     responder = NodeProfile("responder", (150.0, 0.0), (0.0, 0.0), "honest", IdPool(list(shared)))
     evidence = evidence_for_link(150.0, 0.0, d_max=270.0)
 
-    cfg = HandshakeConfig()
     if args.adversary == "wormhole":
         tunnel = WormholeTunnel("relay-near", "relay-far", args.tunnel_latency)
         evidence = wormhole_perturb(evidence, tunnel, tunnel_bearing=0.0)
-        events = handshake_transcript(initiator, responder, evidence, cfg, rng)
     elif args.adversary == "sybil":
-        impostor = NodeProfile("impostor", (150.0, 0.0), (0.0, 0.0), "sybil",
-                               IdPool(draw_distinct_ids(rng, 3, taken)))
-        events = handshake_transcript(initiator, impostor, evidence, cfg, rng)
-    else:
-        events = handshake_transcript(initiator, responder, evidence, cfg, rng)
+        responder = NodeProfile("impostor", (150.0, 0.0), (0.0, 0.0), "sybil",
+                                IdPool(draw_distinct_ids(rng, 3, taken)))
+    events = []
+    run_handshake(initiator, responder, evidence, HandshakeConfig(), rng, transcript=events)
 
     lines = transcript_lines(events)
     if args.out:

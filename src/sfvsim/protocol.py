@@ -173,25 +173,3 @@ def run_handshake(
         log.append(TranscriptEvent("verdict", "final", None, verdict.outcome))
     return verdict
 
-
-def handshake_transcript(
-    initiator: NodeProfile,
-    responder: NodeProfile,
-    evidence: EvidenceSource,
-    cfg: HandshakeConfig = HandshakeConfig(),
-    rng: random.Random | None = None,
-    *,
-    responder_evidence: EvidenceSource | None = None,
-) -> list[TranscriptEvent]:
-    """Run a handshake and return its ordered, replayable event log."""
-    events: list[TranscriptEvent] = []
-    run_handshake(
-        initiator,
-        responder,
-        evidence,
-        cfg,
-        rng,
-        responder_evidence=responder_evidence,
-        transcript=events,
-    )
-    return events

@@ -165,9 +165,11 @@ def evidence_for_link(
 ) -> RangingEvidence:
     """Evidence a clean channel would yield for a link of known geometry.
 
-    The verifier steers its admissible sector onto the measured bearing.
-    Noise offsets model shared measurement error; by reciprocity the same
-    offset evidence is observed at both endpoints.
+    The verifier centres its admissible sector on the bearing it expects
+    from the link's geometry; the measured arrival angle carries the angle
+    noise, so noise beyond aoa_halfwidth fails the AoA gate.  Noise offsets
+    model shared measurement error; by reciprocity the same offset evidence
+    is observed at both endpoints.
     """
     if not distance >= 0.0:  # NaN fails too; max() below would hide it
         raise ValueError(f"link distance must be >= 0: {distance}")
@@ -177,7 +179,7 @@ def evidence_for_link(
         aoa=aoa,
         rtt=max(0.0, 2.0 * distance / LIGHTSPEED + rtt_noise),
         d_max=d_max,
-        aoa_center=aoa,
+        aoa_center=bearing % 360.0,
         aoa_halfwidth=aoa_halfwidth,
         rtt_max=rtt_ceiling(d_max, processing_budget),
     )

@@ -16,7 +16,7 @@ import math
 import random
 import struct
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .adversary import (
@@ -417,9 +417,15 @@ class _Engine:
     mobility step that ran.
 
     Credentials are held once.  profiles holds each node's one NodeProfile,
-    built at placement; an attack check hands the victim's and attacker's
-    to the handshake.  Every honest link's handshake runs on honest_pair,
-    whose two pools advance in lockstep.
+    built at placement (None for a replay attacker, which presents none);
+    an attack check hands the victim's and attacker's to the handshake.
+    Every honest link's handshake runs on honest_pair, whose two pools
+    advance in lockstep.  attacker_kinds maps each attacker, in index
+    order, to its kind; all wormholes share one tunnel, so none is paired.
+
+    One link check serves neighbor-verification sweeps and attack waves
+    alike: _nearest picks the candidate, _verify scans the link and runs
+    the check the target's kind meets, and records the target's verdict.
     """
 
     def __init__(self, scenario: Scenario, duration_s: float):
@@ -478,49 +484,40 @@ class _Engine:
             NodeProfile(end, (0.0, 0.0), (0.0, 0.0), "honest", IdPool(self.honest_ids))
             for end in ("initiator", "responder"))
         # Each node's one profile stands still on its placement, as every
-        # node does on step 0.
-        self.profiles: list[NodeProfile] = []
+        # node does on step 0.  A replay attacker presents no credentials,
+        # so it draws no IDs and holds no profile.
+        self.profiles: list[NodeProfile | None] = []
+        # Attacker index -> kind, in index order; mixed alternates sybil,
+        # wormhole in that order.
         self.attacker_kinds: dict[int, str] = {}
         self.honest_by_cluster: list[list[int]] = [[] for _ in range(sc.clusters)]
 
         per_cluster_attackers = round(sc.attacker_fraction * sc.nodes_per_cluster)
-        wormhole_pending: list[int] = []
         taken = {i.value for i in self.honest_ids}
-
         for c in range(sc.clusters):
             attacker_slots = set(
-                self.layout_rng.sample(range(sc.nodes_per_cluster), per_cluster_attackers)
-                if per_cluster_attackers else []
-            )
+                self.layout_rng.sample(range(sc.nodes_per_cluster), per_cluster_attackers))
             for i in range(sc.nodes_per_cluster):
                 index = len(self.profiles)
                 node_id = f"c{c}-n{i}"
-                if i in attacker_slots:
-                    kind = self._attacker_kind(index)
-                    claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
-                    self.attacker_kinds[index] = kind
-                    if kind == "wormhole":
-                        wormhole_pending.append(index)
-                        role, pool = "wormhole-endpoint", IdPool(claimed)
-                    elif kind == "sybil":
-                        role, pool = "sybil", SybilIdentitySet(claimed, victim=node_id)
-                    else:  # replay: nothing reads the pool, but its draw keeps layout_rng's order
-                        role, pool = "sybil", IdPool(claimed)
-                else:
-                    role, pool = "honest", IdPool(self.honest_ids)
+                if i not in attacker_slots:
                     self.honest_by_cluster[c].append(index)
+                    role, pool = "honest", IdPool(self.honest_ids)
+                else:
+                    kind = sc.attacker_kind
+                    if kind == "mixed":
+                        kind = ("sybil", "wormhole")[len(self.attacker_kinds) % 2]
+                    self.attacker_kinds[index] = kind
+                    if kind == "replay":
+                        self.profiles.append(None)
+                        continue
+                    claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
+                    if kind == "sybil":
+                        role, pool = "sybil", SybilIdentitySet(claimed, victim=node_id)
+                    else:
+                        role, pool = "wormhole-endpoint", IdPool(claimed)
                 self.profiles.append(NodeProfile(node_id, (x[index], y[index]), (0.0, 0.0),
                                                  role, pool))
-
-        # Wormhole endpoints pair up in discovery order; an unpaired
-        # leftover falls back to sybil behavior.
-        if len(wormhole_pending) % 2:
-            leftover = wormhole_pending[-1]
-            self.attacker_kinds[leftover] = "sybil"
-            claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
-            profile = self.profiles[leftover]
-            self.profiles[leftover] = replace(
-                profile, role="sybil", pool=SybilIdentitySet(claimed, victim=profile.node_id))
 
         # Each honest verifier's not yet verified in-cluster peers in scan
         # order: honest peers, then attackers, each in index order.  A pair
@@ -529,16 +526,9 @@ class _Engine:
         self.unverified: dict[int, list[int]] = {}
         if sc.neighbor_verification:
             for c, honest in enumerate(self.honest_by_cluster):
-                order = honest + [a for a in sorted(self.attacker_kinds)
-                                  if self.node_cluster[a] == c]
+                order = honest + [a for a in self.attacker_kinds if self.node_cluster[a] == c]
                 for index in honest:
                     self.unverified[index] = [peer for peer in order if peer != index]
-
-    def _attacker_kind(self, index: int) -> str:
-        sc = self.sc
-        if sc.attacker_kind == "mixed":
-            return "sybil" if index % 2 == 0 else "wormhole"
-        return sc.attacker_kind
 
     def _build_flows(self) -> None:
         sc = self.sc
@@ -669,8 +659,6 @@ class _Engine:
         channel = self.channels[cluster]
         job = channel.job
         channel.job = None
-        if job is None:
-            return
         if job[0] == "data":
             flow = job[1]
             sent_at = flow.queue.popleft()
@@ -729,99 +717,82 @@ class _Engine:
 
     # Neighbor verification sweeps run off-channel: they tally verdicts
     # for coverage maps without competing with data traffic.  Each verifier,
-    # in index order, checks its nearest unverified peer in range; the
-    # first of equally near peers in scan order wins.
+    # in index order, checks its nearest unverified peer in range.
     def _verify_neighbors(self) -> None:
-        xs, ys = self.x, self.y
-        hypot = math.hypot
         unverified = self.unverified
         retired = []
         for index, peers in unverified.items():
             if not peers:
                 retired.append(index)
                 continue
-            ax = xs[index]
-            ay = ys[index]
-            best = None
-            best_distance = math.inf
-            for peer in peers:
-                distance = hypot(xs[peer] - ax, ys[peer] - ay)
-                if distance < best_distance:
-                    best, best_distance = peer, distance
-            if best_distance > self.max_range:
+            best, distance = self._nearest(index, peers)
+            if distance > self.max_range:
                 continue
             peers.remove(best)
             if best in unverified:
                 unverified[best].remove(index)
-            self._verify_pair(index, best, best_distance)
+            self._verify(index, best, distance)
         for index in retired:
             del unverified[index]
 
-    def _verify_pair(self, verifier: int, target: int, distance: float) -> None:
-        d_max = scan_for_neighbor(self.scan_plan, distance).selected_range
-        if d_max is None:
-            return
-        kind = self.attacker_kinds.get(target)
-        if kind is None:
-            self._handshake(target, self._evidence(verifier, target, d_max))
-        else:
-            self._attack_verdict(verifier, target, kind, d_max)
-
     def _handle_atk(self, wave: int) -> None:
         self.walk.advance(self.every_node, self.mob_step)
-        for attacker in sorted(self.attacker_kinds):
-            nearest = self._nearest_honest(attacker)
-            if nearest is None:
+        for attacker in self.attacker_kinds:
+            victim, distance = self._nearest(
+                attacker, self.honest_by_cluster[self.node_cluster[attacker]])
+            if distance > self.max_range:
                 continue
-            victim, distance = nearest
-            # The victim lies within max_range, so some range reaches it.
-            d_max = scan_for_neighbor(self.scan_plan, distance).selected_range
             self.attack_attempts += 1
-            if self._attack_verdict(victim, attacker, self.attacker_kinds[attacker], d_max):
+            if not self._verify(victim, attacker, distance):
                 self.attacks_detected += 1
         next_time = (wave + 1) * self.sc.attack_interval_s
         if next_time <= self.duration:
             self._push(next_time, "atk", wave + 1)
 
-    def _nearest_honest(self, attacker: int) -> tuple[int, float] | None:
-        """The first nearest honest cluster peer within max_range, and its distance."""
+    def _nearest(self, origin: int, candidates: list[int]) -> tuple[int | None, float]:
+        """The candidate nearest to origin, the first of equally near ones,
+        and its distance; (None, inf) when there is none."""
+        xs, ys = self.x, self.y
+        hypot = math.hypot
+        ax = xs[origin]
+        ay = ys[origin]
         best = None
         best_distance = math.inf
-        for index in self.honest_by_cluster[self.node_cluster[attacker]]:
-            distance = self._distance(attacker, index)
+        for peer in candidates:
+            distance = hypot(xs[peer] - ax, ys[peer] - ay)
             if distance < best_distance:
-                best, best_distance = index, distance
-        return (best, best_distance) if best_distance <= self.max_range else None
+                best, best_distance = peer, distance
+        return best, best_distance
 
-    def _attack_verdict(self, victim: int, attacker: int, kind: str, d_max: float) -> bool:
-        """Victim verifies attacker on a link scanned at d_max; True if caught.
+    def _verify(self, verifier: int, target: int, distance: float) -> bool:
+        """Verifier checks target across a link `distance` <= max_range long.
 
-        The attacker's verdict is recorded; the caller counts the attempt.
+        One scan picks the link's range, which the evidence gates against.
+        An honest target takes the honest handshake, a wormhole the
+        handshake on tunnelled evidence, a Sybil a forged-ID attempt, and a
+        replay attacker n_ids sampled detections.  The target's verdict is
+        recorded; True means it was judged friendly.
         """
         sc = self.sc
+        d_max = scan_for_neighbor(self.scan_plan, distance).selected_range
+        kind = self.attacker_kinds.get(target)
         if kind == "replay":
-            detected = any(
-                sample_detection(sc.replay_profile, self.attack_rng)
-                for _ in range(sc.n_ids)
-            )
+            friendly = not any(sample_detection(sc.replay_profile, self.attack_rng)
+                               for _ in range(sc.n_ids))
         else:
-            evidence = self._evidence(victim, attacker, d_max)
+            evidence = self._evidence(verifier, target, d_max)
+            if kind is None:
+                return self._handshake(target, evidence)
             if kind == "wormhole":
-                verdict = run_handshake(
-                    self.profiles[victim],
-                    self.profiles[attacker],
-                    wormhole_perturb(evidence, self.tunnel, self._bearing(victim, attacker)),
-                    sc.handshake,
-                    self.payload_rng,
-                )
+                friendly = run_handshake(
+                    self.profiles[verifier], self.profiles[target],
+                    wormhole_perturb(evidence, self.tunnel, self._bearing(verifier, target)),
+                    sc.handshake, self.payload_rng).friendly
             else:  # sybil
-                verdict = sybil_attempt(
-                    self.profiles[attacker].pool, self.profiles[victim], evidence,
-                    sc.handshake, self.payload_rng,
-                )
-            detected = not verdict.friendly
-        self._record_verdict(attacker, friendly=not detected)
-        return detected
+                friendly = sybil_attempt(self.profiles[target].pool, self.profiles[verifier],
+                                         evidence, sc.handshake, self.payload_rng).friendly
+        self._record_verdict(target, friendly)
+        return friendly
 
     # ------------------------------------------------------------------ loop
 

@@ -99,9 +99,8 @@ def test_sybil_identities_must_be_unique():
 def test_disjointness_check():
     # Every attacker pool the engine draws is disjoint from the honest IDs
     # and from every other attacker's.  Mixed attackers, every node one:
-    # sybils at the even indices 0-6, wormhole mouths at 1, 3 and 5, so 1
-    # and 3 pair up and 5 falls back to a sybil with a second claimed set,
-    # whatever the seed draws.
+    # kinds alternate in attacker order, sybils at 0, 2, 4 and 6 and
+    # wormholes at 1, 3 and 5, whatever the seed draws.
     sc = simulator.Scenario(clusters=1, nodes_per_cluster=7, master_seed=1,
                   attacker_fraction=1.0, attacker_kind="mixed")
     engine = simulator._Engine(sc, 1.0)
@@ -111,8 +110,29 @@ def test_disjointness_check():
     assert all(len(group) == sc.n_ids for group in groups)
     assert len(set().union(*groups)) == sc.n_ids * len(groups)
     sybils = [index for index, kind in sorted(engine.attacker_kinds.items()) if kind == "sybil"]
-    assert sybils == [0, 2, 4, 5, 6]  # the fallback is in
+    assert sybils == [0, 2, 4, 6]
     assert all(isinstance(engine.profiles[i].pool, SybilIdentitySet) for i in sybils)
+    wormholes = [index for index, kind in engine.attacker_kinds.items() if kind == "wormhole"]
+    assert wormholes == [1, 3, 5]
+
+
+@pytest.mark.parametrize("kind, clusters, fraction, seed, expected", [
+    # Mixed kinds alternate in attacker order, whatever the index parity.
+    ("mixed", 2, 0.1, 7, {4: "sybil", 18: "wormhole", 26: "sybil", 39: "wormhole"}),
+    # All wormholes share one tunnel, so an odd count needs no pairing.
+    ("wormhole", 3, 0.05, 1, {15: "wormhole", 25: "wormhole", 51: "wormhole"}),
+    ("replay", 2, 0.1, 7, dict.fromkeys((4, 18, 32, 39), "replay")),
+])
+def test_attacker_kinds_follow_attacker_order(kind, clusters, fraction, seed, expected):
+    sc = simulator.Scenario(clusters=clusters, nodes_per_cluster=20, attacker_fraction=fraction,
+                            attacker_kind=kind, replay_profile=ReplayProfile.calibrated(),
+                            master_seed=seed)
+    engine = simulator._Engine(sc, 1.0)
+    assert engine.attacker_kinds == expected
+    # A replay attacker presents no credentials, so it holds no profile.
+    roles = {"sybil": "sybil", "wormhole": "wormhole-endpoint", "replay": None}
+    profiles = [engine.profiles[i] for i in expected]
+    assert [p and p.role for p in profiles] == [roles[k] for k in expected.values()]
 
 
 def test_sybil_attempts_all_rejected_and_cursor_cycles():

@@ -61,8 +61,9 @@ tx_rate_kbps = 1200
 # place among the arrivals of one tick would shift which packets drop.
 DESK_200_CFG = DESK_POINT_CFG.replace("tx_rate_kbps = 600", "tx_rate_kbps = 200")
 
-# Replay attackers draw their detections from the attack stream, and the
-# verifiers' sweeps flag them through the same verdicts as the waves do.
+# Replay attackers draw their detections from the attack stream and no
+# claimed IDs, and the verifiers' sweeps flag them through the same
+# verdicts as the waves do.
 REPLAY_VERIFY_CFG = """\
 clusters = 2
 nodes_per_cluster = 20
@@ -114,7 +115,7 @@ GOLDEN = {
     "replay-verify-ranging": (
         REPLAY_VERIFY_CFG,
         ["--mode", "sfv-ranging", "--seed", "4", "--duration", "10"],
-        "539ebd0ba8a1b718457b417b8d1f2a4bd8c21d4bd35648a704ead2dbde75d4e4",
+        "3a669ca6e445e7f7dc445a9092bad0de494c3ddcb3e38e11ff458d2792c123e3",
     ),
 }
 

@@ -12,7 +12,6 @@ from sfvsim.protocol import (
     REASON_ID_MISMATCH,
     TranscriptEvent,
     Verdict,
-    handshake_transcript,
     run_handshake,
     transcript_lines,
 )
@@ -177,7 +176,8 @@ def test_asymmetric_measurement_fails_without_id_blame():
 def test_early_abort_stops_at_first_bad_block():
     a = make_node("honest", (10,))
     imp = make_node("imp", (99,), role="sybil")
-    events = handshake_transcript(a, imp, GOOD, rng=random.Random(8))
+    events = []
+    run_handshake(a, imp, GOOD, rng=random.Random(8), transcript=events)
     exchanges = [e for e in events if e.phase == "exchange"]
     assert len(exchanges) == 1
     assert exchanges[0].outcome == "rejected"
@@ -188,7 +188,8 @@ def test_early_abort_stops_at_first_bad_block():
 def test_transcript_structure_for_friendly_run():
     a, b = friendly_pair()
     cfg = HandshakeConfig(m_blocks=4)
-    events = handshake_transcript(a, b, GOOD, cfg, rng=random.Random(9))
+    events = []
+    run_handshake(a, b, GOOD, cfg, rng=random.Random(9), transcript=events)
     phases = [e.phase for e in events]
     assert phases == ["threshold", "setup", "setup",
                       "exchange", "exchange", "exchange", "exchange", "verdict"]
@@ -200,7 +201,8 @@ def test_transcript_structure_for_friendly_run():
 
 def test_transcript_line_format():
     a, b = friendly_pair()
-    events = handshake_transcript(a, b, GOOD, rng=random.Random(10))
+    events = []
+    run_handshake(a, b, GOOD, rng=random.Random(10), transcript=events)
     lines = transcript_lines(events)
     assert lines[0] == "threshold,attempt-1,,pass"
     assert any(line.startswith("exchange,block,1,") for line in lines)
@@ -211,14 +213,16 @@ def test_transcript_line_format():
 def test_transcript_deterministic_for_equal_seed():
     a1, b1 = friendly_pair()
     a2, b2 = friendly_pair()
-    first = handshake_transcript(a1, b1, GOOD, rng=random.Random(11))
-    second = handshake_transcript(a2, b2, GOOD, rng=random.Random(11))
+    first, second = [], []
+    run_handshake(a1, b1, GOOD, rng=random.Random(11), transcript=first)
+    run_handshake(a2, b2, GOOD, rng=random.Random(11), transcript=second)
     assert first == second
 
 
 def test_transcript_records_threshold_violations():
     a, b = friendly_pair()
-    events = handshake_transcript(a, b, FAR, rng=random.Random(12))
+    events = []
+    run_handshake(a, b, FAR, rng=random.Random(12), transcript=events)
     assert TranscriptEvent("threshold", REASON_DISTANCE, None, "violated") in events
     assert events[-1].outcome == "suspicious"
 

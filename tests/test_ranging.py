@@ -190,6 +190,7 @@ def test_evidence_for_link_noise_offsets():
                            distance_noise=2.5, angle_noise=-10.0, rtt_noise=1e-7)
     assert ev.d_radial == pytest.approx(152.5)
     assert ev.aoa == pytest.approx(350.0)
+    assert ev.aoa_center == 0.0  # the sector stays on the expected bearing
     assert ev.rtt == pytest.approx(2 * 150 / LIGHTSPEED + 1e-7)
 
 

@@ -390,6 +390,28 @@ def test_wormhole_attackers_detected_by_thresholds():
     assert m.empirical_detection_rate == 1.0
 
 
+# Each ranging gate fires alone on honest links: one kind of noise flags the
+# nodes, and widening that gate's own tolerance alone clears them again.
+# 39 of the 40 nodes are verified in these runs.
+@pytest.mark.parametrize("noise, widened, suspicious", [
+    (dict(noise_angle_deg=90.0), dict(aoa_halfwidth_deg=180.0), 39),
+    (dict(noise_rtt_s=2e-5), dict(processing_budget_s=1e-4), 39),
+    (dict(noise_distance_m=100.0), None, 38),
+])
+def test_each_ranging_gate_fires_alone_in_the_simulator(noise, widened, suspicious):
+    def flagged(**kw):
+        sc = desk(seed=3, cluster_width=400.0, cluster_height=400.0, flows_per_cluster=4,
+                  sfv_mode="sfv-ranging", neighbor_verification=True, **kw)
+        m = run_scenario(sc, 10.0)
+        assert sum(m.friendly_per_cluster) + sum(m.suspicious_per_cluster) == 39
+        return sum(m.suspicious_per_cluster)
+
+    assert flagged() == 0
+    assert flagged(**noise) == suspicious
+    if widened is not None:
+        assert flagged(**noise, **widened) == 0
+
+
 def test_replay_detection_follows_the_detect_curve():
     # Each replay attack faces one sampled verification per id, so the
     # engine's detection rate should sit on 1 - (1 - P)^n, the curve
