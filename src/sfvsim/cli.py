@@ -9,6 +9,7 @@ equal seeds; tables are CSV, written to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import fields
@@ -117,6 +118,14 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_keyspace(args) -> int:
+    # Python prints no int of more than get_int_max_str_digits() digits (0:
+    # no limit; Pythons before 3.10.7 have none), and 2**bits has more than
+    # `limit` digits once bits * log10(2) >= limit.  Refuse such a width
+    # before any output.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.bits * math.log10(2) >= limit:
+        raise ValueError(f"--bits {args.bits}: the key count has more than {limit} digits, "
+                         f"Python's limit for printing an int")
     size = keyspace_size(args.bits)
     record = {
         "bits": args.bits,

@@ -35,7 +35,7 @@ SFV_MODES = ("off", "sfv", "sfv-ranging")
 # The largest population a Scenario accepts, 125 times the reference one.
 MAX_NODES = 100_000
 # The most mobility steps, CBR ticks or attack waves one run may take; the
-# reference 60 s run takes 2,400 steps and 14,649 ticks.
+# reference 60 s run takes 2,400 steps and 14,648 ticks.
 MAX_STEPS = 100_000_000
 
 
@@ -332,12 +332,17 @@ def cluster_rects(scenario: Scenario) -> list[tuple[float, float, float, float]]
 
 
 class _Flow:
-    """One constant-rate source-destination pair inside a cluster."""
+    """One constant-rate source-destination pair inside a cluster.
+
+    Its packet k arrives at k * gen_interval; seq is the heap sequence
+    number reserved for its next arrival, and reach whether a packet
+    served now would find dst within selected_range (positions and ranges
+    only change in heap handlers, which refresh it).
+    """
 
     __slots__ = (
-        "src", "dst", "cluster", "queue", "generated", "dropped_queue",
-        "dropped_range", "delivered", "total_delay", "connected",
-        "handshaking", "selected_range", "seq",
+        "src", "dst", "cluster", "queue", "dropped_range", "delivered",
+        "total_delay", "connected", "handshaking", "selected_range", "reach", "seq",
     )
 
     def __init__(self, src: int, dst: int, cluster: int):
@@ -345,26 +350,64 @@ class _Flow:
         self.dst = dst
         self.cluster = cluster
         self.queue: deque[float] = deque()
-        self.generated = 0
-        self.dropped_queue = 0
         self.dropped_range = 0
         self.delivered = 0
         self.total_delay = 0.0
         self.connected = False
         self.handshaking = False
         self.selected_range = 0.0
-        self.seq = 0  # heap sequence number reserved for the next arrival
+        self.reach = False
+        self.seq = 0
+
+    def serve(self, now: float) -> None:
+        """The head packet's service ends at `now`."""
+        sent_at = self.queue.popleft()
+        if self.reach:
+            self.delivered += 1
+            self.total_delay += now - sent_at
+        else:
+            self.dropped_range += 1
 
 
 class _Channel:
-    """Single-server shared medium for one cluster."""
+    """One cluster's shared medium, single-server, and its data plane's cursor.
 
-    __slots__ = ("job", "control", "rr")
+    handshake is the control job in service, serving the flow whose head
+    packet is in service; at most one of them is set.  A data job
+    completes at (done, seq), the heap key its own event would have;
+    done is inf while no data job is left to _drain, because none runs
+    or because its completion was handed to the heap.  The next arrival
+    is that of flows[next_flow] on tick `tick`.
+    """
 
-    def __init__(self):
-        self.job = None
+    __slots__ = ("flows", "control", "rr", "handshake", "serving", "done", "seq",
+                 "tick", "next_flow")
+
+    def __init__(self, flows: list[_Flow]):
+        self.flows = flows
         self.control: deque = deque()
         self.rr = 0
+        self.handshake = None
+        self.serving: _Flow | None = None
+        self.done = math.inf
+        self.seq = 0
+        self.tick = 1
+        self.next_flow = 0
+
+    def pick(self) -> _Flow | None:
+        """The next connected flow with a packet waiting, round-robin."""
+        flows = self.flows
+        count = len(flows)
+        index = self.rr
+        for _ in range(count):
+            flow = flows[index]
+            index += 1
+            if index == count:
+                index = 0
+            if flow.connected and flow.queue:
+                self.rr = index
+                return flow
+        return None
 
 
 @dataclass(frozen=True)
@@ -404,7 +447,12 @@ class _Engine:
 
     Mobility advances in fixed batches; discovery and link setup happen on
     coarser epochs; packet generation and channel service run on exact
-    event times.  All randomness flows from per-subsystem child streams of
+    times.  The heap holds mobility steps ("mob"), attack waves ("atk")
+    and channel events ("svc"): the end of a handshake, or of the data job
+    a queued handshake waits behind.  CBR arrivals and the other data
+    services never enter it; _drain runs them per cluster, in the order
+    their own events would take, before every mob event (all clusters),
+    every svc event (its cluster) and at the end of the run.  All randomness flows from per-subsystem child streams of
     the master seed, drawn in a fixed order, so equal seeds replay equal
     runs and mobility never depends on mode or traffic settings.
 
@@ -451,7 +499,6 @@ class _Engine:
         self.max_range = scenario.radio_ranges[-1]
         self.scan_plan = ScanPlan(scenario.radio_ranges, ranging=scenario.sfv_mode == "sfv-ranging")
         self.data_time = scenario.packet_bits / (scenario.channel_capacity_kbps * 1000.0)
-        self.gen_interval = scenario.packet_interval
         self.epoch_every = max(1, round(scenario.discovery_interval_s / scenario.mobility_step_s))
         # wormhole_perturb reads only the latency, so all attackers share one.
         self.tunnel = WormholeTunnel("wormhole-mouth", "wormhole-far", scenario.tunnel_latency_s)
@@ -533,7 +580,7 @@ class _Engine:
     def _build_flows(self) -> None:
         sc = self.sc
         self.flows: list[_Flow] = []
-        self.cluster_flows: list[list[_Flow]] = [[] for _ in range(sc.clusters)]
+        cluster_flows: list[list[_Flow]] = [[] for _ in range(sc.clusters)]
         for c in range(sc.clusters):
             honest = self.honest_by_cluster[c]
             for _ in range(sc.flows_per_cluster):
@@ -542,18 +589,28 @@ class _Engine:
                 src, dst = self.layout_rng.sample(honest, 2)
                 flow = _Flow(src, dst, c)
                 self.flows.append(flow)
-                self.cluster_flows[c].append(flow)
+                cluster_flows[c].append(flow)
         self.endpoints = sorted({flow.src for flow in self.flows}
                                 | {flow.dst for flow in self.flows})
-        self.channels = [_Channel() for _ in range(sc.clusters)]
+        self.channels = [_Channel(flows) for flows in cluster_flows]
 
     def _prime_events(self) -> None:
         self._push(0.0, "mob", 0)
-        if self.gen_interval is not None and self.flows and self.gen_interval <= self.duration:
+        # Every flow's packet k arrives at k * gen_interval, for k = 1..last_tick;
+        # check_run bounds last_tick when there are flows.
+        self.gen_interval = math.inf
+        self.last_tick = 0
+        if self.flows and self.sc.packet_interval is not None:
+            interval = self.gen_interval = self.sc.packet_interval
+            last = math.floor(self.duration / interval)
+            while (last + 1) * interval <= self.duration:
+                last += 1
+            while last and last * interval > self.duration:
+                last -= 1
+            self.last_tick = last
             for flow in self.flows:
                 self.seq += 1
                 flow.seq = self.seq
-            heapq.heappush(self.heap, (self.gen_interval, self.flows[0].seq, "tick", 1))
         if self.attacker_kinds and self.sc.attack_interval_s <= self.duration:
             self._push(self.sc.attack_interval_s, "atk", 1)
 
@@ -603,80 +660,118 @@ class _Engine:
 
     # ------------------------------------------------------------------ handlers
 
-    def _handle_tick(self, tick: int) -> None:
-        """Every flow's packet number `tick`, all due now.
+    def _drain(self, cluster: int, until: float, until_seq: float) -> None:
+        """Run the cluster's arrivals and data services keyed before (until, until_seq).
 
-        Each flow holds the heap sequence number its own arrival event
-        would have taken, so the arrivals keep their place among other
-        events due now: before flow h's arrival, every such event with a
-        smaller sequence number runs first.  The tick itself is keyed on
-        flow 0's number.
+        Each keeps the (time, seq) key its own heap event would have: an
+        arrival the number its flow reserved at its previous arrival, a
+        service completion the number taken when it was dispatched.  Data
+        services draw no randomness, and flows, ranges and positions only
+        change in heap handlers, which drain the cluster first; so running
+        the keys in order here matches one heap event per packet exactly.
+        When nothing else falls due at a tick's instant, its arrivals run
+        in one pass.  No handshake is queued while the channel is idle or
+        serves a data job left to _drain (_handle_mob dispatches it at once,
+        or hands that job's end to the heap), so every dispatch here is a
+        data dispatch by pick().
         """
-        now = self.now
-        heap = self.heap
-        handlers = self._HANDLERS
-        channels = self.channels
+        channel = self.channels[cluster]
+        gen_interval = self.gen_interval
+        tick = channel.tick
+        done = channel.done
+        flows = channel.flows
+        if not flows or tick * gen_interval > until and done > until:
+            return
+        count = len(flows)
         capacity = self.sc.queue_capacity
-        next_time = (tick + 1) * self.gen_interval
-        more = next_time <= self.duration
-        for flow in self.flows:
-            while heap and heap[0][0] == now and heap[0][1] < flow.seq:
-                _, _, kind, payload = heapq.heappop(heap)
-                handlers[kind](self, payload)
-            flow.generated += 1
-            if len(flow.queue) < capacity:
-                flow.queue.append(now)
-                if channels[flow.cluster].job is None:  # a busy channel picks it up when done
-                    self._dispatch(flow.cluster)
+        data_time = self.data_time
+        pick = channel.pick
+        free = channel.handshake is None  # a handshake holds the channel till its heap event
+        seq = self.seq
+        first = channel.next_flow
+        serving = channel.serving
+        done_seq = channel.seq
+        while True:
+            at = tick * gen_interval
+            if done < at or (done == at and done_seq < flows[first].seq):
+                if done > until or (done == until and done_seq >= until_seq):
+                    break
+                serving.serve(done)
+                serving = pick()
+                if serving is None:
+                    done = math.inf
+                else:
+                    done += data_time
+                    seq += 1
+                    done_seq = seq
+                continue
+            if at > until or (at == until and flows[first].seq >= until_seq):
+                break
+            if first == 0 and at < until and at < done:
+                batch = flows
             else:
-                flow.dropped_queue += 1
-            if more:
-                self.seq += 1
-                flow.seq = self.seq
-        if more:
-            heapq.heappush(heap, (next_time, self.flows[0].seq, "tick", tick + 1))
+                batch = (flows[first],)
+            for flow in batch:
+                queue = flow.queue
+                if len(queue) < capacity:
+                    queue.append(at)
+                    if serving is None and free:
+                        serving = pick()
+                        if serving is not None:
+                            done = at + data_time
+                            seq += 1
+                            done_seq = seq
+                seq += 1
+                flow.seq = seq
+            first += len(batch)
+            if first == count:
+                first = 0
+                tick += 1
+        self.seq = seq
+        channel.tick = tick
+        channel.next_flow = first
+        channel.serving = serving
+        channel.done = done
+        channel.seq = done_seq
 
     def _dispatch(self, cluster: int) -> None:
+        """Start the next job on an idle channel: a queued handshake first."""
         channel = self.channels[cluster]
-        if channel.job is not None:
+        if channel.handshake is not None or channel.serving is not None:
             return
         if channel.control:
             job = channel.control.popleft()
-            channel.job = job
-            self._push(self.now + job[1], "svc", cluster)
+            channel.handshake = job
+            self._push(self.now + job[0], "svc", cluster)
             return
-        flows = self.cluster_flows[cluster]
-        for offset in range(len(flows)):
-            index = (channel.rr + offset) % len(flows)
-            flow = flows[index]
-            if flow.connected and flow.queue:
-                channel.rr = (index + 1) % len(flows)
-                channel.job = ("data", flow)
-                self._push(self.now + self.data_time, "svc", cluster)
-                return
+        flow = channel.pick()
+        if flow is not None:
+            self.seq += 1
+            channel.serving = flow
+            channel.done = self.now + self.data_time
+            channel.seq = self.seq
 
-    def _handle_svc(self, cluster: int) -> None:
+    def _handle_svc(self, cluster: int, seq: int) -> None:
+        """A handshake ends, or the data job a queued handshake waits behind."""
+        self._drain(cluster, self.now, seq)
         channel = self.channels[cluster]
-        job = channel.job
-        channel.job = None
-        if job[0] == "data":
-            flow = job[1]
-            sent_at = flow.queue.popleft()
-            if self._distance(flow.src, flow.dst) <= flow.selected_range:
-                flow.delivered += 1
-                flow.total_delay += self.now - sent_at
-            else:
-                flow.dropped_range += 1
-        elif job[0] == "hs":
-            _, _, flow, evidence, selected = job
+        job = channel.handshake
+        if job is None:
+            channel.serving.serve(self.now)
+            channel.serving = None
+        else:
+            channel.handshake = None
+            _, flow, evidence, selected = job
             flow.handshaking = False
             if self._handshake(flow.dst, evidence):
                 flow.selected_range = selected
-                flow.connected = self._distance(flow.src, flow.dst) <= selected
+                flow.connected = flow.reach = self._distance(flow.src, flow.dst) <= selected
         self._dispatch(cluster)
 
-    def _handle_mob(self, step_index: int) -> None:
+    def _handle_mob(self, step_index: int, seq: int) -> None:
         sc = self.sc
+        for cluster in range(sc.clusters):
+            self._drain(cluster, self.now, seq)
         epoch = step_index % self.epoch_every == 0
         if step_index > 0:  # step 0 only runs discovery on the placements
             verifying = epoch and self.unverified
@@ -690,9 +785,14 @@ class _Engine:
                     flow.connected = False
             elif epoch and not flow.handshaking:
                 self._try_connect(flow, distance)
+            flow.reach = distance <= flow.selected_range
         if epoch and sc.neighbor_verification:
             self._verify_neighbors()
-        for cluster in range(sc.clusters):
+        for cluster, channel in enumerate(self.channels):
+            if channel.control and channel.done != math.inf:
+                # A handshake waits behind this data job: the heap ends it.
+                heapq.heappush(self.heap, (channel.done, channel.seq, "svc", cluster))
+                channel.done = math.inf
             self._dispatch(cluster)
         next_time = (step_index + 1) * sc.mobility_step_s
         if next_time <= self.duration:
@@ -712,7 +812,7 @@ class _Engine:
         evidence = self._evidence(flow.src, flow.dst, scan.selected_range)
         duration = sc.handshake_base_s + (scan.attempts - 1) * sc.handshake_attempt_extra_s
         self.channels[flow.cluster].control.append(
-            ("hs", duration, flow, evidence, scan.selected_range))
+            (duration, flow, evidence, scan.selected_range))
         flow.handshaking = True
 
     # Neighbor verification sweeps run off-channel: they tally verdicts
@@ -735,7 +835,7 @@ class _Engine:
         for index in retired:
             del unverified[index]
 
-    def _handle_atk(self, wave: int) -> None:
+    def _handle_atk(self, wave: int, seq: int) -> None:
         self.walk.advance(self.every_node, self.mob_step)
         for attacker in self.attacker_kinds:
             victim, distance = self._nearest(
@@ -797,30 +897,34 @@ class _Engine:
     # ------------------------------------------------------------------ loop
 
     # Plain functions, not bound methods: a table of bound methods kept on
-    # the engine would form a reference cycle and outlive the run.
-    _HANDLERS = {"tick": _handle_tick, "svc": _handle_svc,
-                 "mob": _handle_mob, "atk": _handle_atk}
+    # the engine would form a reference cycle and outlive the run.  Each
+    # takes its event's payload and sequence number.
+    _HANDLERS = {"svc": _handle_svc, "mob": _handle_mob, "atk": _handle_atk}
 
     def execute(self) -> ScenarioMetrics:
         handlers = self._HANDLERS
         heap = self.heap
         while heap:
-            time, _, kind, payload = heapq.heappop(heap)
+            time, seq, kind, payload = heapq.heappop(heap)
             if time > self.duration:
                 break
             self.now = time
-            handlers[kind](self, payload)
+            handlers[kind](self, payload, seq)
+        for cluster in range(self.sc.clusters):
+            self._drain(cluster, self.duration, math.inf)
 
         sc = self.sc
-        generated = delivered = dropped_queue = dropped_range = in_flight = 0
+        # Every flow saw every arrival; each one it queued is delivered,
+        # dropped out of range or still queued.
+        generated = self.last_tick * len(self.flows)
+        delivered = dropped_range = in_flight = 0
         total_delay = 0.0  # += in flow order; sum() rounds differently from Python 3.12 on
         for flow in self.flows:
-            generated += flow.generated
             delivered += flow.delivered
-            dropped_queue += flow.dropped_queue
             dropped_range += flow.dropped_range
             in_flight += len(flow.queue)
             total_delay += flow.total_delay
+        dropped_queue = generated - delivered - dropped_range - in_flight
         friendly = [0] * sc.clusters
         suspicious = [0] * sc.clusters
         for cluster, verdict in zip(self.node_cluster, self.verdict):

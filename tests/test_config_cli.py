@@ -461,6 +461,19 @@ def test_cli_keyspace_csv(tmp_path, capsys):
         assert capsys.readouterr().out == handle.read()
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_cli_keyspace_too_wide_to_print_exits_2_before_any_output(tmp_path, capsys, to_file):
+    # 2**20000 has 6021 digits, more than Python's default 4300-digit limit
+    # for printing an int.
+    out = tmp_path / "keys.csv"
+    argv = ["keyspace", "--bits", "20000"] + (["--out", str(out)] if to_file else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bits 20000" in captured.err
+    assert not out.exists()
+
+
 def test_cli_handshake_friendly(capsys):
     assert main(["handshake", "--seed", "3"]) == 0
     lines = _lines(capsys.readouterr().out)

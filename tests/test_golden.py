@@ -1,4 +1,4 @@
-"""Golden bytes: the metrics CSV of six short runs and of two two-point
+"""Golden bytes: the metrics CSV of nine short runs and of two two-point
 sweeps, and the transcripts of six seeded handshake sets and of one CLI
 handshake, pinned by sha256.
 
@@ -86,6 +86,18 @@ flows_per_cluster = 4
 pause_s = 0.5
 """
 
+# At 163.84 kbps a 512-byte packet takes exactly 0.025 s, the mobility
+# step, so every arrival falls due at the same instant as a mobility step.
+STEP_RATE_CFG = DESK_POINT_CFG.replace("tx_rate_kbps = 600", "tx_rate_kbps = 163.84")
+
+# A 150 kbps channel takes longer over one packet than a mobility step
+# lasts, so data jobs run across mobility steps and the handshakes queued
+# at an epoch wait behind the job in service.
+SLOW_CHANNEL_CFG = DESK_POINT_CFG + "channel_capacity_kbps = 150\n"
+
+# At 1000 kbps packet 2000 falls due at 8.192 s, the last instant of the run.
+LAST_INSTANT_CFG = DESK_POINT_CFG.replace("tx_rate_kbps = 600", "tx_rate_kbps = 1000")
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -116,6 +128,21 @@ GOLDEN = {
         REPLAY_VERIFY_CFG,
         ["--mode", "sfv-ranging", "--seed", "4", "--duration", "10"],
         "3a669ca6e445e7f7dc445a9092bad0de494c3ddcb3e38e11ff458d2792c123e3",
+    ),
+    "step-rate-sfv": (
+        STEP_RATE_CFG,
+        ["--mode", "sfv", "--seed", "2", "--duration", "20"],
+        "cc4966668fd32901cd49942caa8dd8a510e20cbcb8962f8f71a2a6fdb5f1d2c5",
+    ),
+    "slow-channel-ranging": (
+        SLOW_CHANNEL_CFG,
+        ["--mode", "sfv-ranging", "--seed", "3", "--duration", "20"],
+        "628fefa8d87b7f04f6e9444f1f55764180792186c70ea14fcb70f90cfab2bbe0",
+    ),
+    "last-instant-off": (
+        LAST_INSTANT_CFG,
+        ["--mode", "off", "--seed", "5", "--duration", "8.192"],
+        "c54ebe7708ff0fd0efa96c56062fadb9221ce11e18a77bb3c779dc684b1a1999",
     ),
 }
 
