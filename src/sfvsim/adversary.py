@@ -90,13 +90,8 @@ def sybil_attempt(
     its claimed ID seeds the wrong keystream word, so checksums fail.
     """
     claimed = select_symmetric_id(attacker)
-    impostor = NodeProfile(
-        node_id=f"sybil-against-{attacker.victim}",
-        position=victim.position,
-        velocity=(0.0, 0.0),
-        role="sybil",
-        pool=IdPool([claimed]),
-    )
+    impostor = NodeProfile(f"sybil-against-{attacker.victim}", victim.position, (0.0, 0.0),
+                           "sybil", IdPool([claimed]))
     return run_handshake(victim, impostor, evidence, cfg, rng)
 
 

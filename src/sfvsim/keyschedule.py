@@ -5,10 +5,11 @@ the radial distance / arrival angle on one side, the round-trip time on
 the other.  Every subsequent block reseeds from the halves of the key
 just used, so both endpoints stay synchronized without exchanging keys.
 
-The cipher arithmetic lives in one int-level step per direction
-(`_encrypt`, `_decrypt`).  `encrypt_block`/`decrypt_block` wrap them for
-one `Block` and a mutable `SfvSession`; `_exchange` chains them over a
-handshake's m blocks on plain ints, which is what `run_handshake` uses.
+The per-block API (`init_session`, `encrypt_block`, `decrypt_block`) is
+the reference.  `_exchange`, which `run_handshake` runs, is the same
+arithmetic inlined into one loop over a handshake's m blocks, on plain
+ints; a property test pins its block count and payload draws to the
+per-block API's.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ _CHECKSUM_BITS = CHECKSUM_BYTES * 8
 _CHECKSUM_MASK = (1 << _CHECKSUM_BITS) - 1
 
 # Fixed 64-bit mixing constants.  Both generators run the same
-# xorshift-multiply finalizer; they differ only in the additive constant
-# and in which half of the mixed word they keep.
+# xorshift-multiply finalizer, SplitMix64's (Steele, Lea and Flood,
+# OOPSLA 2014), so each word is a pure function of its seed; they differ
+# only in the additive constant and in which half of the mixed word they keep.
 _ADD_1 = 0x9E3779B97F4A7C15
 _ADD_2 = 0xD1B54A32D192ED03
 _MUL_A = 0xBF58476D1CE4E5B9
@@ -107,88 +109,83 @@ def init_session(evidence: RangingEvidence, id: SymmetricId, direction: str) -> 
     """Derive block-zero seeds from link evidence."""
     if direction not in ("encryptor", "decryptor"):
         raise ValueError(f"direction must be 'encryptor' or 'decryptor', got {direction!r}")
-    return SfvSession(
-        id=id,
-        direction=direction,
-        seed_i=seed_from_location(evidence),
-        seed_n=seed_from_rtt(evidence),
-    )
+    return SfvSession(id, direction, seed_from_location(evidence), seed_from_rtt(evidence))
 
 
-def _encrypt(seed_i: int, seed_n: int, id_value: int, plain: int) -> tuple[int, int]:
-    """One encryptor step on ints: (cipher block, packed key).
+def encrypt_block(session: SfvSession, plain: Block) -> Block:
+    """Mask one plaintext block and roll the session key.
 
     The timing word folds in the block's leading 32 bits, so the keystream
     depends on the block being sent; a decryptor can still recover it
     because the location word alone unmasks those bits.
     """
-    k1 = rng1(seed_i)
-    k3 = rng2(seed_n) ^ (plain >> _FEEDBACK_SHIFT)
-    packed = (k1 << _K1_SHIFT) | (id_value << K3_BITS) | k3
-    return plain ^ (packed << PAD_BITS), packed  # the mask: the packed key, then the zero pad
+    if session.direction != "encryptor":
+        raise ValueError("encrypt_block requires an encryptor session")
+    block = int.from_bytes(plain.data, "big")
+    k1 = rng1(session.seed_i)
+    k3 = rng2(session.seed_n) ^ (block >> _FEEDBACK_SHIFT)
+    packed = (k1 << _K1_SHIFT) | (session.id.value << K3_BITS) | k3
+    session.seed_i, session.seed_n = packed >> HALF_BITS, packed & _MASK_HALF
+    # The mask is the packed key, then the zero pad.
+    return Block((block ^ (packed << PAD_BITS)).to_bytes(BLOCK_BYTES, "big"))
 
 
-def _decrypt(seed_i: int, seed_n: int, id_value: int, cipher: int) -> tuple[int, int]:
-    """One decryptor step on ints: (plain block, packed key).
+def decrypt_block(session: SfvSession, cipher: Block) -> Block:
+    """Unmask one block and roll the session key in step with the sender.
 
     The leading 58 bits fall to the location word and the symmetric ID;
     that exposes the plaintext feedback bits, which reconstruct the timing
     word for the remaining 32 masked bits.  The 6 pad bits pass through.
     """
-    k1 = rng1(seed_i)
-    k3 = rng2(seed_n) ^ (cipher >> _FEEDBACK_SHIFT) ^ k1
-    packed = (k1 << _K1_SHIFT) | (id_value << K3_BITS) | k3
-    return cipher ^ (packed << PAD_BITS), packed
+    if session.direction != "decryptor":
+        raise ValueError("decrypt_block requires a decryptor session")
+    block = int.from_bytes(cipher.data, "big")
+    k1 = rng1(session.seed_i)
+    k3 = rng2(session.seed_n) ^ (block >> _FEEDBACK_SHIFT) ^ k1
+    packed = (k1 << _K1_SHIFT) | (session.id.value << K3_BITS) | k3
+    session.seed_i, session.seed_n = packed >> HALF_BITS, packed & _MASK_HALF
+    return Block((block ^ (packed << PAD_BITS)).to_bytes(BLOCK_BYTES, "big"))
 
 
-def _exchange(
-    sender: tuple[int, int, int],
-    receiver: tuple[int, int, int],
-    m_blocks: int,
-    rng: random.Random,
-) -> int:
+def _exchange(sender: tuple[int, int, int], receiver: tuple[int, int, int],
+              m_blocks: int, rng: random.Random) -> int:
     """Send up to m_blocks random checksummed blocks; return how many verified.
 
-    sender and receiver are (seed_i, seed_n, id value).  Each block draws
-    its payload from rng, is encrypted by the sender and decrypted by the
-    receiver, and both seed pairs roll from the keys just used.  The
-    exchange stops at the first block whose checksum fails.
+    sender and receiver are (seed_i, seed_n, id value).  This is
+    encrypt_block and decrypt_block inlined: each block draws its payload
+    from rng, the receiver decrypts with its own key, both seed pairs roll
+    from the keys just used, and the exchange stops at the first block
+    whose checksum fails.  The receiver reuses the sender's location word
+    k1 or timing word w where its seed for that word equals the sender's.
     """
     seed_i, seed_n, id_a = sender
     seed_r, seed_t, id_b = receiver
+    id_a, id_b = id_a << K3_BITS, id_b << K3_BITS
+    randbytes = rng.randbytes
     for verified in range(m_blocks):
-        payload = rng.randbytes(PAYLOAD_BYTES)
+        payload = randbytes(PAYLOAD_BYTES)
         plain = (int.from_bytes(payload, "big") << _CHECKSUM_BITS) | crc_hqx(payload, 0xFFFF)
-        cipher, sent = _encrypt(seed_i, seed_n, id_a, plain)
-        received, used = _decrypt(seed_r, seed_t, id_b, cipher)
+        z, y = (seed_i + _ADD_1) & _M64, (seed_n + _ADD_2) & _M64
+        z, y = ((z ^ (z >> 30)) * _MUL_A) & _M64, ((y ^ (y >> 30)) * _MUL_A) & _M64
+        z, y = ((z ^ (z >> 27)) * _MUL_B) & _M64, ((y ^ (y >> 27)) * _MUL_B) & _M64
+        k1, w = (z ^ (z >> 31)) >> 32, (y ^ (y >> 31)) & _MASK32
+        sent = (k1 << _K1_SHIFT) | id_a | (w ^ (plain >> _FEEDBACK_SHIFT))
+        cipher = plain ^ (sent << PAD_BITS)
+        if seed_r != seed_i:
+            z = (seed_r + _ADD_1) & _M64
+            z = ((z ^ (z >> 30)) * _MUL_A) & _M64
+            z = ((z ^ (z >> 27)) * _MUL_B) & _M64
+            k1 = (z ^ (z >> 31)) >> 32
+        if seed_t != seed_n:
+            z = (seed_t + _ADD_2) & _M64
+            z = ((z ^ (z >> 30)) * _MUL_A) & _M64
+            z = ((z ^ (z >> 27)) * _MUL_B) & _M64
+            w = (z ^ (z >> 31)) & _MASK32
+        used = (k1 << _K1_SHIFT) | id_b | (w ^ (cipher >> _FEEDBACK_SHIFT) ^ k1)
+        received = cipher ^ (used << PAD_BITS)
         body = (received >> _CHECKSUM_BITS).to_bytes(PAYLOAD_BYTES, "big")
         if crc_hqx(body, 0xFFFF) != received & _CHECKSUM_MASK:
             return verified
         seed_i, seed_n = sent >> HALF_BITS, sent & _MASK_HALF
         seed_r, seed_t = used >> HALF_BITS, used & _MASK_HALF
     return m_blocks
-
-
-def _roll(session: SfvSession, packed: int) -> None:
-    session.seed_i = packed >> HALF_BITS
-    session.seed_n = packed & _MASK_HALF
-
-
-def encrypt_block(session: SfvSession, plain: Block) -> Block:
-    """Mask one plaintext block and roll the session key."""
-    if session.direction != "encryptor":
-        raise ValueError("encrypt_block requires an encryptor session")
-    cipher, packed = _encrypt(session.seed_i, session.seed_n, session.id.value,
-                              int.from_bytes(plain.data, "big"))
-    _roll(session, packed)
-    return Block(cipher.to_bytes(BLOCK_BYTES, "big"))
-
-
-def decrypt_block(session: SfvSession, cipher: Block) -> Block:
-    """Unmask one block and roll the session key in step with the sender."""
-    if session.direction != "decryptor":
-        raise ValueError("decrypt_block requires a decryptor session")
-    plain, packed = _decrypt(session.seed_i, session.seed_n, session.id.value,
-                             int.from_bytes(cipher.data, "big"))
-    _roll(session, packed)
-    return Block(plain.to_bytes(BLOCK_BYTES, "big"))

@@ -143,14 +143,12 @@ def run_handshake(
             log.append(TranscriptEvent("verdict", "final", None, verdict.outcome))
         return verdict
 
-    responder_view = accepted
+    sender = receiver = (seed_from_location(accepted), seed_from_rtt(accepted))
     if responder_evidence is not None:
         responder_view = _draw_evidence(responder_evidence)
-
+        receiver = (seed_from_location(responder_view), seed_from_rtt(responder_view))
     initiator_id = select_symmetric_id(initiator.pool)
     responder_id = select_symmetric_id(responder.pool)
-    sender = (seed_from_location(accepted), seed_from_rtt(accepted))
-    receiver = (seed_from_location(responder_view), seed_from_rtt(responder_view))
     blocks_verified = _exchange((*sender, initiator_id.value), (*receiver, responder_id.value),
                                 cfg.m_blocks, rng)
 

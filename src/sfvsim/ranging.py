@@ -89,6 +89,9 @@ class ThresholdResult:
     reasons: tuple[str, ...]
 
 
+_PASSED = ThresholdResult(True, ())  # frozen, so every pass shares it
+
+
 def validate_evidence(evidence: RangingEvidence) -> ThresholdResult:
     """Check measured evidence against its thresholds.
 
@@ -102,7 +105,7 @@ def validate_evidence(evidence: RangingEvidence) -> ThresholdResult:
         reasons.append(REASON_RTT)
     if angular_distance(evidence.aoa, evidence.aoa_center) > evidence.aoa_halfwidth:
         reasons.append(REASON_AOA)
-    return ThresholdResult(passed=not reasons, reasons=tuple(reasons))
+    return ThresholdResult(False, tuple(reasons)) if reasons else _PASSED
 
 
 @dataclass(frozen=True)

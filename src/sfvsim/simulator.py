@@ -628,7 +628,7 @@ class _Engine:
         x, y = self.x, self.y
         return math.degrees(math.atan2(y[b] - y[a], x[b] - x[a])) % 360.0
 
-    def _evidence(self, a: int, b: int, d_max: float):
+    def _evidence(self, a: int, b: int, distance: float, d_max: float):
         sc = self.sc
         distance_noise = angle_noise = rtt_noise = 0.0
         if sc.noise_distance_m > 0:
@@ -638,7 +638,7 @@ class _Engine:
         if sc.noise_rtt_s > 0:
             rtt_noise = self.noise_rng.uniform(-sc.noise_rtt_s, sc.noise_rtt_s)
         return evidence_for_link(
-            self._distance(a, b), self._bearing(a, b), d_max,
+            distance, self._bearing(a, b), d_max,
             processing_budget=sc.processing_budget_s,
             aoa_halfwidth=sc.aoa_halfwidth_deg,
             distance_noise=distance_noise,
@@ -753,7 +753,8 @@ class _Engine:
 
     def _handle_svc(self, cluster: int, seq: int) -> None:
         """A handshake ends, or the data job a queued handshake waits behind."""
-        self._drain(cluster, self.now, seq)
+        if self.last_tick:  # else no arrival ever falls due: nothing to drain
+            self._drain(cluster, self.now, seq)
         channel = self.channels[cluster]
         job = channel.handshake
         if job is None:
@@ -770,8 +771,9 @@ class _Engine:
 
     def _handle_mob(self, step_index: int, seq: int) -> None:
         sc = self.sc
-        for cluster in range(sc.clusters):
-            self._drain(cluster, self.now, seq)
+        if self.last_tick:
+            for cluster in range(sc.clusters):
+                self._drain(cluster, self.now, seq)
         epoch = step_index % self.epoch_every == 0
         if step_index > 0:  # step 0 only runs discovery on the placements
             verifying = epoch and self.unverified
@@ -809,7 +811,7 @@ class _Engine:
         self.scan_attempts += scan.attempts
         if scan.selected_range is None:
             return
-        evidence = self._evidence(flow.src, flow.dst, scan.selected_range)
+        evidence = self._evidence(flow.src, flow.dst, distance, scan.selected_range)
         duration = sc.handshake_base_s + (scan.attempts - 1) * sc.handshake_attempt_extra_s
         self.channels[flow.cluster].control.append(
             (duration, flow, evidence, scan.selected_range))
@@ -880,7 +882,7 @@ class _Engine:
             friendly = not any(sample_detection(sc.replay_profile, self.attack_rng)
                                for _ in range(sc.n_ids))
         else:
-            evidence = self._evidence(verifier, target, d_max)
+            evidence = self._evidence(verifier, target, distance, d_max)
             if kind is None:
                 return self._handshake(target, evidence)
             if kind == "wormhole":
@@ -910,8 +912,9 @@ class _Engine:
                 break
             self.now = time
             handlers[kind](self, payload, seq)
-        for cluster in range(self.sc.clusters):
-            self._drain(cluster, self.duration, math.inf)
+        if self.last_tick:
+            for cluster in range(self.sc.clusters):
+                self._drain(cluster, self.duration, math.inf)
 
         sc = self.sc
         # Every flow saw every arrival; each one it queued is delivered,

@@ -236,14 +236,44 @@ def chained_block_count(sender, receiver, m_blocks, rng):
     return m_blocks
 
 
-@settings(max_examples=200, deadline=None)
-@given(SEEDS, SEEDS, IDS, st.one_of(st.none(), IDS), st.one_of(st.none(), st.tuples(SEEDS, SEEDS)),
+def clmul(a, b):
+    """Carry-less product: a(x) * b(x) over GF(2)."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        b >>= 1
+    return product
+
+
+def gf2_mod(a, m):
+    """a(x) mod m(x) over GF(2)."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
+CRC_POLY = 0x11021  # CRC-16/CCITT: x^16 + x^12 + x^5 + 1
+# The nonzero 26-bit ID deltas that are multiples of it: q of degree < 10.
+TRANSPARENT_DELTAS = [clmul(CRC_POLY, q) for q in range(1, 1 << 10)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(SEEDS, SEEDS, IDS, st.sampled_from(["same", "other", "transparent"]), IDS,
+       st.sampled_from(["both", "location", "timing", "neither"]), SEEDS, SEEDS,
        st.integers(1, 8), st.integers(0, 2**32))
-def test_exchange_counts_what_the_block_api_verifies(seed_i, seed_n, id_a, id_b, other_seeds,
-                                                     m_blocks, payload_seed):
-    # None draws the sender's value: the same ID, the same seed pair.
-    id_b = id_a if id_b is None else id_b
-    seed_r, seed_t = (seed_i, seed_n) if other_seeds is None else other_seeds
+def test_exchange_counts_what_the_block_api_verifies(seed_i, seed_n, id_a, id_kind, other_id,
+                                                     shared, own_r, own_t, m_blocks,
+                                                     payload_seed):
+    # The receiver's seed pair shares the sender's location half, timing
+    # half, both or neither, so each word the kernel reuses or computes is
+    # checked.  A transparent ID delta passes block 1 on equal seeds and
+    # reaches the later blocks with both seeds different.
+    id_b = {"same": id_a, "other": other_id,
+            "transparent": id_a ^ TRANSPARENT_DELTAS[other_id % 1023]}[id_kind]
+    seed_r = seed_i if shared in ("both", "location") else own_r
+    seed_t = seed_n if shared in ("both", "timing") else own_t
     sender = SfvSession(SymmetricId(id_a), "encryptor", seed_i, seed_n)
     receiver = SfvSession(SymmetricId(id_b), "decryptor", seed_r, seed_t)
     block_rng, int_rng = random.Random(payload_seed), random.Random(payload_seed)
@@ -253,6 +283,36 @@ def test_exchange_counts_what_the_block_api_verifies(seed_i, seed_n, id_a, id_b,
     assert int_rng.getstate() == block_rng.getstate()
     if id_a == id_b and (seed_i, seed_n) == (seed_r, seed_t):
         assert verified == m_blocks
+    if id_kind == "transparent" and shared == "both":
+        assert verified >= 1
+
+
+def test_crc_linearity_makes_1023_id_deltas_pass_block_one():
+    # On equal seeds the receiver's block differs from the plaintext only
+    # by the ID delta, shifted into the payload.  CRC-16 is linear, so the
+    # checksum survives exactly when the delta is a multiple of the
+    # polynomial: 1,023 of the 2^26 - 1 nonzero deltas, with certainty.
+    assert len(set(TRANSPARENT_DELTAS)) == 1023
+    assert all(0 < delta < 1 << 26 for delta in TRANSPARENT_DELTAS)
+    seed_i, seed_n, id_a = 0x1234_5678_9AB, 0x0FED_CBA9_876, 0x2A5_5A5A
+    for payload_seed in range(4):
+        rng = random.Random(payload_seed)
+        assert all(_exchange((seed_i, seed_n, id_a), (seed_i, seed_n, id_a ^ delta), 1, rng) == 1
+                   for delta in TRANSPARENT_DELTAS)
+    # Block 1 rolls the two ends onto different seeds, so a later block
+    # catches the forged ID.
+    forged = id_a ^ CRC_POLY
+    for payload_seed in range(50):
+        verified = _exchange((seed_i, seed_n, id_a), (seed_i, seed_n, forged), 4,
+                             random.Random(payload_seed))
+        assert 1 <= verified < 4
+    # Any other delta fails block 1, whatever the payload.
+    rng = random.Random(7)
+    for _ in range(2_000):
+        delta = rng.randrange(1, 1 << 26)
+        if gf2_mod(delta, CRC_POLY) == 0:
+            continue
+        assert _exchange((seed_i, seed_n, id_a), (seed_i, seed_n, id_a ^ delta), 1, rng) == 0
 
 
 def test_session_state_fields():

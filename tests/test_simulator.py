@@ -1,5 +1,6 @@
 """Mobility, the event engine, and the network-shape properties."""
 
+import hashlib
 import heapq
 import math
 import random
@@ -280,6 +281,30 @@ def test_zero_traffic_flagged():
     assert m.generated == 0
     assert m.throughput_kbps == 0.0
     assert m.pdr == 1.0
+
+
+def test_zero_traffic_runs_skip_the_data_plane(monkeypatch):
+    # At a zero rate no arrival ever falls due, so the mobility, service
+    # and end-of-run barriers call no _drain.  The run still scans,
+    # shakes hands and meets attackers, and its metrics are the ones
+    # recorded before the barriers skipped the call.
+    calls = []
+    drain = simulator._Engine._drain
+
+    def counting(engine, cluster, until, until_seq):
+        calls.append(cluster)
+        drain(engine, cluster, until, until_seq)
+
+    monkeypatch.setattr(simulator._Engine, "_drain", counting)
+    kw = dict(cluster_width=400.0, cluster_height=400.0, flows_per_cluster=4,
+              sfv_mode="sfv-ranging", neighbor_verification=True, attacker_fraction=0.1)
+    m = run_scenario(desk(seed=3, tx_rate_kbps=0.0, **kw), 10.0)
+    assert calls == []
+    assert (m.generated, m.handshakes, m.attack_attempts) == (0, 325, 40)
+    assert hashlib.sha256(repr(m).encode()).hexdigest() == (
+        "fca0a80b551fd23b105f7411f098b371df8ea149e41746f4afe5a751ac80e7d1")
+    run_scenario(desk(seed=3, tx_rate_kbps=200.0, **kw), 1.0)
+    assert calls
 
 
 def test_mode_alias_normalized():
