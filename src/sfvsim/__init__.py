@@ -16,12 +16,10 @@ from .adversary import (
     wormhole_perturb,
 )
 from .analytics import (
-    DetectionComparison,
-    DetectionModel,
     brute_force_average,
-    compare_analytic_empirical,
     detection_probability,
     detection_rate,
+    detection_table,
     emit_csv,
     empirical_detection_rate,
     keyspace_size,

@@ -88,7 +88,10 @@ def sybil_attempt(
 
     The attacker is physically co-located (evidence passes thresholds) but
     its claimed ID seeds the wrong keystream word, so checksums fail.
+    rng is required, and its absence is refused before the cursor moves.
     """
+    if rng is None:
+        raise ValueError("sybil_attempt needs an rng for the block payloads")
     claimed = select_symmetric_id(attacker)
     impostor = NodeProfile(f"sybil-against-{attacker.victim}", victim.position, (0.0, 0.0),
                            "sybil", IdPool([claimed]))

@@ -10,22 +10,10 @@ from __future__ import annotations
 
 import decimal
 import random
-from dataclasses import dataclass
 
 from .adversary import ReplayProfile, sample_detection
 from .model import KEY_BITS
-
-
-@dataclass(frozen=True)
-class DetectionModel:
-    """A replay profile together with the verifier's ID count."""
-
-    profile: ReplayProfile
-    n_ids: int
-
-    def __post_init__(self):
-        if self.n_ids < 1:
-            raise ValueError(f"verifier needs at least one id, got {self.n_ids}")
+from .simulator import MAX_STEPS
 
 
 def detection_probability(profile: ReplayProfile) -> float:
@@ -37,10 +25,11 @@ def detection_probability(profile: ReplayProfile) -> float:
     )
 
 
-def detection_rate(model: DetectionModel) -> float:
+def detection_rate(profile: ReplayProfile, n_ids: int) -> float:
     """Chance at least one of n_ids independent verifications catches."""
-    single = detection_probability(model.profile)
-    return 1.0 - (1.0 - single) ** model.n_ids
+    if n_ids < 1:
+        raise ValueError(f"verifier needs at least one id, got {n_ids}")
+    return 1.0 - (1.0 - detection_probability(profile)) ** n_ids
 
 
 def keyspace_size(bits: int = KEY_BITS) -> int:
@@ -93,44 +82,41 @@ def empirical_detection_rate(
     return detected / attempts
 
 
-@dataclass(frozen=True)
-class DetectionComparison:
-    """Analytic vs simulated detection rate at one ID count."""
-
-    n_ids: int
-    analytic: float
-    empirical: float
-    attempts: int
-
-    @property
-    def abs_gap(self) -> float:
-        return abs(self.analytic - self.empirical)
-
-
-def compare_analytic_empirical(
+def detection_table(
     n_ids_values: list[int],
     profile: ReplayProfile,
-    attempts: int = 10_000,
-    seed: int = 0,
-) -> list[DetectionComparison]:
-    """Closed-form detection rates against seeded attempt simulations.
+    attempts: int,
+    seed: int,
+) -> list[dict]:
+    """The rows `sfvsim detect` prints: per ID count, the replay profile,
+    the closed-form rate and the rate over `attempts` sampled attempts.
 
     The replay checks are independent of traffic, so the simulation is the
-    attempt process itself: per ID count, `attempts` attackers each face
-    one verification per provisioned ID.
+    attempt process itself: one generator seeded with seed serves the ID
+    counts in order.  Every count, and the worst case of attempts x sum of
+    the counts sampled verifications (at most MAX_STEPS), is checked before
+    the first draw.
     """
+    rates = [detection_rate(profile, n) for n in n_ids_values]
+    if attempts * sum(n_ids_values) > MAX_STEPS:
+        raise ValueError(f"attempts x sum of n_ids = {attempts} x {sum(n_ids_values)} "
+                         f"exceeds {MAX_STEPS} sampled verifications")
+    single = detection_probability(profile)
     rng = random.Random(seed)
     rows = []
-    for n in n_ids_values:
-        model = DetectionModel(profile, n)
-        rows.append(
-            DetectionComparison(
-                n_ids=n,
-                analytic=detection_rate(model),
-                empirical=empirical_detection_rate(profile, n, attempts, rng),
-                attempts=attempts,
-            )
-        )
+    for n, rate in zip(n_ids_values, rates):
+        empirical = empirical_detection_rate(profile, n, attempts, rng)
+        rows.append({
+            "n_ids": n,
+            "p_wormhole": profile.p_wormhole,
+            "p_id_replay": profile.p_id_replay,
+            "p_rtt_replay": profile.p_rtt_replay,
+            "detection_probability": single,
+            "detection_rate": rate,
+            "empirical_rate": empirical,
+            "abs_gap": abs(rate - empirical),
+            "attempts": attempts,
+        })
     return rows
 
 

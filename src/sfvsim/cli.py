@@ -17,8 +17,7 @@ from dataclasses import fields
 from .adversary import WormholeTunnel, wormhole_perturb
 from .analytics import (
     brute_force_average,
-    compare_analytic_empirical,
-    detection_probability,
+    detection_table,
     emit_csv,
     keyspace_size,
     scientific_string,
@@ -95,25 +94,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    profile = build_replay_profile(vars(args))
     n_values = [int(part) for part in args.n_ids.split(",") if part.strip()]
-    single = detection_probability(profile)
-    rows = compare_analytic_empirical(n_values, profile, attempts=args.attempts, seed=args.seed)
-    records = [
-        {
-            "n_ids": row.n_ids,
-            "p_wormhole": profile.p_wormhole,
-            "p_id_replay": profile.p_id_replay,
-            "p_rtt_replay": profile.p_rtt_replay,
-            "detection_probability": single,
-            "detection_rate": row.analytic,
-            "empirical_rate": row.empirical,
-            "abs_gap": row.abs_gap,
-            "attempts": row.attempts,
-        }
-        for row in rows
-    ]
-    emit_csv(records, args.out or sys.stdout)
+    rows = detection_table(n_values, build_replay_profile(vars(args)), args.attempts, args.seed)
+    emit_csv(rows, args.out or sys.stdout)
     return 0
 
 

@@ -59,7 +59,11 @@ def draw_distinct_ids(rng: random.Random, count: int, taken: set[int]) -> list[S
     """Draw count 26-bit IDs from rng that are not in taken, and add them to it.
 
     Each try is one getrandbits(26) draw; a value already taken is skipped.
+    A count beyond the IDs left free is refused before the first draw.
     """
+    free = (1 << ID_BITS) - len(taken)
+    if count > free:
+        raise ValueError(f"cannot draw {count} ids: only {free} are free")
     ids = []
     while len(ids) < count:
         value = rng.getrandbits(ID_BITS)

@@ -118,11 +118,12 @@ def run_handshake(
     measurement per threshold attempt (one initial try plus retry_limit
     retries).  responder_evidence defaults to the initiator's, matching a
     reciprocal channel; pass a separate source to model asymmetric error.
-    Block payloads draw from rng, and the exchange stops at the first
-    rejected block.
+    Block payloads draw from rng, which is required: an unseeded fallback
+    would make transcripts differ from call to call.  The exchange stops at
+    the first rejected block.
     """
     if rng is None:
-        rng = random.Random()
+        raise ValueError("run_handshake needs an rng for the block payloads")
     log = transcript
 
     accepted = None

@@ -27,7 +27,7 @@ from .adversary import (
     sybil_attempt,
     wormhole_perturb,
 )
-from .model import IdPool, NodeProfile, draw_distinct_ids
+from .model import ID_BITS, IdPool, NodeProfile, draw_distinct_ids
 from .protocol import HandshakeConfig, run_handshake
 from .ranging import ScanPlan, evidence_for_link, scan_for_neighbor
 
@@ -137,6 +137,14 @@ class Scenario:
             raise ValueError(f"unknown attacker kind: {self.attacker_kind!r}")
         if self.attacker_kind == "replay" and self.attacker_fraction > 0 and self.replay_profile is None:
             raise ValueError("replay attackers need a replay_profile")
+        # The honest pool and each claiming attacker draw n_ids distinct IDs.
+        # Up to half the ID space, every draw succeeds with probability at
+        # least 1/2, so the build's rejection sampling ends quickly.
+        claimants = 0 if self.attacker_kind == "replay" else self.clusters * round(
+            self.attacker_fraction * self.nodes_per_cluster)
+        if self.n_ids * (1 + claimants) > 1 << (ID_BITS - 1):
+            raise ValueError(f"n_ids = {self.n_ids} for the honest pool and {claimants} claiming "
+                             f"attackers needs more than {1 << (ID_BITS - 1)} distinct ids")
 
     @property
     def packet_bits(self) -> int:

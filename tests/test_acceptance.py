@@ -15,11 +15,10 @@ from conftest import MODES, RATES, SEEDS, SPEEDS
 
 from sfvsim.adversary import ReplayProfile, WormholeTunnel, wormhole_perturb
 from sfvsim.analytics import (
-    DetectionModel,
     brute_force_average,
-    compare_analytic_empirical,
     detection_probability,
     detection_rate,
+    detection_table,
     keyspace_size,
     scientific_string,
 )
@@ -76,11 +75,11 @@ def test_criterion_2_detection_math_matches_bigfloat():
                                  * (1 - mpmath.mpf(repr(pr))))
                     assert abs(single - mp_single) <= abs(mp_single) * 1e-12
                     for n in range(1, 11):
-                        rate = detection_rate(DetectionModel(profile, n))
+                        rate = detection_rate(profile, n)
                         mp_rate = 1 - (1 - mp_single) ** n
                         assert abs(rate - mp_rate) <= abs(mp_rate) * 1e-12
                         checked += 1
-    six_ids = detection_rate(DetectionModel(ReplayProfile.calibrated(0.4), 6))
+    six_ids = detection_rate(ReplayProfile.calibrated(0.4), 6)
     print(f"criterion 2: {checked} grid points checked; P=0.4, n=6 -> {six_ids!r}")
     assert math.isclose(six_ids, 0.953344, abs_tol=1e-9)
     assert abs(six_ids - 0.95) <= 0.005
@@ -94,16 +93,17 @@ def test_criterion_3_detection_rate_bands():
     bands = {1: (0.30, 0.40), 2: (0.50, 0.60), 4: (0.70, 0.85),
              6: (0.90, 1.0), 8: (0.97, 1.0)}
     started = time.perf_counter()
-    rows = compare_analytic_empirical(
+    rows = detection_table(
         sorted(bands), ReplayProfile.calibrated(0.35),
         attempts=attempts, seed=42)
     elapsed = time.perf_counter() - started
     for row in rows:
-        low, high = bands[row.n_ids]
-        sigma = math.sqrt(row.analytic * (1.0 - row.analytic) / attempts)
-        print(f"criterion 3: n={row.n_ids} empirical={row.empirical:.4f} "
+        low, high = bands[row["n_ids"]]
+        rate, empirical = row["detection_rate"], row["empirical_rate"]
+        sigma = math.sqrt(rate * (1.0 - rate) / attempts)
+        print(f"criterion 3: n={row['n_ids']} empirical={empirical:.4f} "
               f"band=[{low},{high}] 3sigma={3 * sigma:.4f}")
-        assert low - 3 * sigma <= row.empirical <= high + 3 * sigma
+        assert low - 3 * sigma <= empirical <= high + 3 * sigma
     print(f"criterion 3: {elapsed:.2f} s")
     assert elapsed < 60.0
 

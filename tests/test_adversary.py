@@ -150,6 +150,13 @@ def test_sybil_attempts_all_rejected_and_cursor_cycles():
     assert attacker.next_index == 4 % 3
 
 
+def test_sybil_attempt_without_rng_is_refused_before_the_cursor_moves():
+    attacker = SybilIdentitySet([SymmetricId(100), SymmetricId(200)], victim="victim")
+    with pytest.raises(ValueError, match="rng"):
+        sybil_attempt(attacker, honest_node(), evidence_for_link(120.0, 0.0, 270.0))
+    assert attacker.next_index == 0
+
+
 # -------------------------------------------------------------------- replay
 
 def test_replay_profile_probability_bounds():

@@ -10,11 +10,10 @@ import pytest
 
 from sfvsim.adversary import ReplayProfile
 from sfvsim.analytics import (
-    DetectionModel,
     brute_force_average,
-    compare_analytic_empirical,
     detection_probability,
     detection_rate,
+    detection_table,
     emit_csv,
     empirical_detection_rate,
     keyspace_size,
@@ -42,34 +41,32 @@ def test_detection_rate_matches_bigfloat_reference():
         for p_id in grid:
             profile = ReplayProfile(p_wh, p_id, 0.35)
             for n in (1, 3, 7):
-                model = DetectionModel(profile, n)
                 ref_p, ref_rate = mp_rate(p_wh, p_id, 0.35, n)
                 assert abs(detection_probability(profile) - float(ref_p)) <= 1e-12 * float(ref_p)
-                assert abs(detection_rate(model) - float(ref_rate)) <= 1e-12 * max(float(ref_rate), 1e-30)
+                assert abs(detection_rate(profile, n) - float(ref_rate)) <= 1e-12 * max(float(ref_rate), 1e-30)
 
 
 def test_detection_rate_single_id_equals_probability():
     profile = ReplayProfile.calibrated(0.35)
-    model = DetectionModel(profile, 1)
-    assert detection_rate(model) == pytest.approx(detection_probability(profile), rel=1e-15)
+    assert detection_rate(profile, 1) == pytest.approx(detection_probability(profile), rel=1e-15)
 
 
 def test_detection_rate_monotone_in_ids():
     profile = ReplayProfile.calibrated(0.35)
-    rates = [detection_rate(DetectionModel(profile, n)) for n in range(1, 12)]
+    rates = [detection_rate(profile, n) for n in range(1, 12)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
     assert rates[-1] < 1.0
 
 
 def test_six_ids_give_roughly_95_percent():
     profile = ReplayProfile.calibrated(0.4)
-    rate = detection_rate(DetectionModel(profile, 6))
+    rate = detection_rate(profile, 6)
     assert rate == pytest.approx(0.953344, abs=1e-6)
 
 
-def test_detection_model_validation():
+def test_detection_rate_validation():
     with pytest.raises(ValueError):
-        DetectionModel(ReplayProfile.calibrated(0.35), 0)
+        detection_rate(ReplayProfile.calibrated(0.35), 0)
 
 
 # ------------------------------------------------------------------ keyspace
@@ -100,20 +97,20 @@ def test_scientific_rendering():
 def test_empirical_rate_within_three_sigma():
     profile = ReplayProfile.calibrated(0.35)
     for n in (1, 4, 8):
-        expected = detection_rate(DetectionModel(profile, n))
+        expected = detection_rate(profile, n)
         observed = empirical_detection_rate(profile, n, 10_000, random.Random(42))
         sigma = math.sqrt(expected * (1 - expected) / 10_000)
         assert abs(observed - expected) <= 3 * sigma
 
 
-def test_compare_analytic_empirical_structure():
+def test_detection_table_structure():
     profile = ReplayProfile.calibrated(0.35)
-    rows = compare_analytic_empirical([1, 2, 4], profile, attempts=2_000, seed=7)
-    assert [r.n_ids for r in rows] == [1, 2, 4]
-    assert all(r.attempts == 2_000 for r in rows)
-    assert all(0.0 <= r.empirical <= 1.0 for r in rows)
-    assert all(r.abs_gap == abs(r.analytic - r.empirical) for r in rows)
-    again = compare_analytic_empirical([1, 2, 4], profile, attempts=2_000, seed=7)
+    rows = detection_table([1, 2, 4], profile, attempts=2_000, seed=7)
+    assert [r["n_ids"] for r in rows] == [1, 2, 4]
+    assert all(r["attempts"] == 2_000 for r in rows)
+    assert all(0.0 <= r["empirical_rate"] <= 1.0 for r in rows)
+    assert all(r["abs_gap"] == abs(r["detection_rate"] - r["empirical_rate"]) for r in rows)
+    again = detection_table([1, 2, 4], profile, attempts=2_000, seed=7)
     assert rows == again
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sfvsim import simulator
+from sfvsim import analytics, simulator
 from sfvsim.adversary import ReplayProfile
 from sfvsim.cli import main
 from sfvsim.config import _SCHEMA, build_scenario, load_config, parse_config_text
@@ -307,10 +307,12 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "tx_rate_kbps = 1e9\n",
     "attack_interval_s = 1e-9\nattacker_fraction = 0.05\n",
     "duration_s = 1e9\n",
+    "n_ids = 100000000\n",
+    "n_ids = 1048576\nattacker_fraction = 0.05\n",
 ], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell",
         "clusters-overflow", "nodes-beyond-cap", "step-subnormal", "step-beyond-cap",
         "pause-beyond-cap", "ticks-beyond-cap", "attack-waves-beyond-cap",
-        "duration-beyond-cap"])
+        "duration-beyond-cap", "ids-beyond-cap", "attacker-ids-beyond-cap"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
                                                             no_simulation, capsys):
     cfg = tmp_path / "s.cfg"
@@ -433,6 +435,22 @@ def test_cli_detect_explicit_probabilities(capsys):
     row = _lines(capsys.readouterr().out)[1].split(",")
     expect = 0.9 * 0.8 * 0.7   # every check must catch its replay
     assert float(row[4]) == pytest.approx(expect, rel=1e-12)
+
+
+# Both tables are refused before the first sampled verification.
+@pytest.mark.parametrize("flags", [
+    ["--attempts", "1000000000000", "--n-ids", "1"],
+    ["--n-ids", "1,0"],
+], ids=["draws-beyond-cap", "zero-ids"])
+def test_cli_detect_out_of_range_exits_2_before_sampling(flags, monkeypatch, capsys):
+    def refuse(profile, rng):
+        raise AssertionError("a replay attempt was sampled")
+
+    monkeypatch.setattr(analytics, "sample_detection", refuse)
+    assert main(["detect", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_detect_partial_probabilities_exit_2(capsys):

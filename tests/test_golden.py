@@ -1,6 +1,6 @@
 """Golden bytes: the metrics CSV of nine short runs and of two two-point
-sweeps, and the transcripts of six seeded handshake sets and of one CLI
-handshake, pinned by sha256.
+sweeps, three detection tables, and the transcripts of six seeded
+handshake sets and of one CLI handshake, pinned by sha256.
 
 Any engine change that moves a simulated number (draw order, float
 arithmetic, scan order) fails here; change a digest only together with a
@@ -184,6 +184,33 @@ def test_speed_sweep_csv_bytes_match_the_recorded_digest(tmp_path, capsys):
         ["--variable", "node_speed", "--values", "0,20", "--mode", "sfv-ranging"],
         tmp_path, capsys)
     assert digest == "4d6c2a3affa3eee96791cf5f450028f218cc5badd6548c97f7624750636a6ed5", out
+
+
+# The detection table: the closed form next to sampled replay attempts, for
+# the default table, for explicit sampling knobs, and for an explicit profile.
+DETECT_GOLDEN = {
+    "default": (
+        [],
+        "f8dc9914b5a16b57b94ec525358bc7a676dcdd1c67c778222b5fe2a040104a2a",
+    ),
+    "sampling-knobs": (
+        ["--n-ids", "1,2,4,8", "--attempts", "2000", "--seed", "9"],
+        "a4f469bcd03dc7a400b2fbc83ac8cfaf751ee493a486ddd7c82dec7513aa2a31",
+    ),
+    "explicit-profile": (
+        ["--p-wormhole", "0.1", "--p-id", "0.2", "--p-rtt", "0.3",
+         "--n-ids", "1,3", "--attempts", "500", "--seed", "4"],
+        "809fabf2b6be2859026c9b3d586c5e39ec1f078cd587ea5ef4e34f7854da8b23",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DETECT_GOLDEN))
+def test_detect_csv_bytes_match_the_recorded_digest(name, capsys):
+    flags, digest = DETECT_GOLDEN[name]
+    assert main(["detect", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 # ---------------------------------------------------------------- handshakes

@@ -53,6 +53,17 @@ def test_draw_distinct_ids_skips_and_extends_taken():
     assert len({i.value for i in many}) == 500
 
 
+def test_draw_distinct_ids_refuses_more_than_the_free_ids_without_drawing():
+    class NoDraws(random.Random):
+        def getrandbits(self, k):
+            raise AssertionError("an id was drawn")
+
+    taken = {1, 2, 3}
+    with pytest.raises(ValueError):
+        draw_distinct_ids(NoDraws(), 2**26 - 2, taken)
+    assert taken == {1, 2, 3}
+
+
 # ----------------------------------------------------------------- key layout
 # The integrated key is built, used as a mask and split inside the cipher
 # step: (k1 << 58) | (id << 32) | k3, masked with 6 zero pad bits behind it,

@@ -65,6 +65,13 @@ def test_friendly_handshake():
     assert verdict.blocks_verified == verdict.m_blocks == 4
 
 
+def test_handshake_without_rng_is_refused_before_the_pools_move():
+    a, b = friendly_pair()
+    with pytest.raises(ValueError, match="rng"):
+        run_handshake(a, b, GOOD)
+    assert a.pool.next_index == b.pool.next_index == 0
+
+
 def test_pools_rotate_in_lockstep():
     a, b = friendly_pair(ids=(1, 2, 3))
     for round_number in range(5):

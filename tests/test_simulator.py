@@ -13,7 +13,7 @@ import pytest
 
 from sfvsim import simulator
 from sfvsim.adversary import ReplayProfile
-from sfvsim.analytics import DetectionModel, detection_rate
+from sfvsim.analytics import detection_rate
 from sfvsim.simulator import (
     SFV_MODES,
     RandomWaypoint,
@@ -436,7 +436,7 @@ def test_replay_detection_follows_the_detect_curve():
                   attacker_fraction=0.25, attacker_kind="replay", replay_profile=profile,
                   attack_interval_s=0.05, n_ids=n_ids)
         m = run_scenario(sc, 30.0)
-        expected = detection_rate(DetectionModel(profile, n_ids))
+        expected = detection_rate(profile, n_ids)
         sigma = math.sqrt(expected * (1.0 - expected) / m.attack_attempts)
         assert m.attack_attempts == 6_000
         assert abs(m.empirical_detection_rate - expected) <= 3 * sigma
