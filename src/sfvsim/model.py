@@ -38,12 +38,14 @@ class SymmetricId:
             raise ValueError(f"symmetric id out of 26-bit range: {self.value}")
 
 
-@dataclass
+@dataclass(slots=True)
 class IdPool:
     """Ordered pool of distinct symmetric IDs with a cyclic selection cursor.
 
     Both endpoints of a provisioned link hold pools with identical contents
-    and advance their cursors in lockstep, one selection per handshake.
+    and advance their cursors in lockstep, one selection per handshake.  A
+    copy.copy shares the ID list and keeps its own cursor; slots keep such
+    per-node copies small.
     """
 
     ids: list[SymmetricId]

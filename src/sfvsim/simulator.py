@@ -10,6 +10,7 @@ earlier link breaks.  Everything derives from one master seed.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import heapq
 import math
@@ -342,15 +343,14 @@ def cluster_rects(scenario: Scenario) -> list[tuple[float, float, float, float]]
 class _Flow:
     """One constant-rate source-destination pair inside a cluster.
 
-    Its packet k arrives at k * gen_interval; seq is the heap sequence
-    number reserved for its next arrival, and reach whether a packet
+    Its packet k arrives at k * gen_interval; reach says whether a packet
     served now would find dst within selected_range (positions and ranges
     only change in heap handlers, which refresh it).
     """
 
     __slots__ = (
         "src", "dst", "cluster", "queue", "dropped_range", "delivered",
-        "total_delay", "connected", "handshaking", "selected_range", "reach", "seq",
+        "total_delay", "connected", "handshaking", "selected_range", "reach",
     )
 
     def __init__(self, src: int, dst: int, cluster: int):
@@ -365,7 +365,6 @@ class _Flow:
         self.handshaking = False
         self.selected_range = 0.0
         self.reach = False
-        self.seq = 0
 
     def serve(self, now: float) -> None:
         """The head packet's service ends at `now`."""
@@ -381,15 +380,13 @@ class _Channel:
     """One cluster's shared medium, single-server, and its data plane's cursor.
 
     handshake is the control job in service, serving the flow whose head
-    packet is in service; at most one of them is set.  A data job
-    completes at (done, seq), the heap key its own event would have;
-    done is inf while no data job is left to _drain, because none runs
-    or because its completion was handed to the heap.  The next arrival
-    is that of flows[next_flow] on tick `tick`.
+    packet is in service; at most one of them is set.  A data job ends at
+    done, which is inf while no data job is left to _drain, because none
+    runs or because its end was handed to the heap.  Tick `tick` holds
+    the next arrivals.
     """
 
-    __slots__ = ("flows", "control", "rr", "handshake", "serving", "done", "seq",
-                 "tick", "next_flow")
+    __slots__ = ("flows", "control", "rr", "handshake", "serving", "done", "tick")
 
     def __init__(self, flows: list[_Flow]):
         self.flows = flows
@@ -398,9 +395,7 @@ class _Channel:
         self.handshake = None
         self.serving: _Flow | None = None
         self.done = math.inf
-        self.seq = 0
         self.tick = 1
-        self.next_flow = 0
 
     def pick(self) -> _Flow | None:
         """The next connected flow with a packet waiting, round-robin."""
@@ -458,9 +453,9 @@ class _Engine:
     times.  The heap holds mobility steps ("mob"), attack waves ("atk")
     and channel events ("svc"): the end of a handshake, or of the data job
     a queued handshake waits behind.  CBR arrivals and the other data
-    services never enter it; _drain runs them per cluster, in the order
-    their own events would take, before every mob event (all clusters),
-    every svc event (its cluster) and at the end of the run.  All randomness flows from per-subsystem child streams of
+    services never enter it; _drain runs them per cluster before every mob
+    event (all clusters), every svc event (its cluster) and at the end of
+    the run.  All randomness flows from per-subsystem child streams of
     the master seed, drawn in a fixed order, so equal seeds replay equal
     runs and mobility never depends on mode or traffic settings.
 
@@ -531,12 +526,15 @@ class _Engine:
         self.verdict: list[bool | None] = [None] * count
 
         self.honest_ids = draw_distinct_ids(self.layout_rng, sc.n_ids, set())
+        # The honest pool is checked once; every holder gets a shallow copy,
+        # which shares its ID list and keeps its own cursor.
+        honest_pool = IdPool(self.honest_ids)
         # Both ends of an honest link start from identical pools and advance
         # them together, so they always present the same ID; with equal IDs
         # on equal evidence every block verifies whatever the ID, so one
         # lockstep pair serves every honest link.
         self.honest_pair = tuple(
-            NodeProfile(end, (0.0, 0.0), (0.0, 0.0), "honest", IdPool(self.honest_ids))
+            NodeProfile(end, (0.0, 0.0), (0.0, 0.0), "honest", copy.copy(honest_pool))
             for end in ("initiator", "responder"))
         # Each node's one profile stands still on its placement, as every
         # node does on step 0.  A replay attacker presents no credentials,
@@ -557,7 +555,7 @@ class _Engine:
                 node_id = f"c{c}-n{i}"
                 if i not in attacker_slots:
                     self.honest_by_cluster[c].append(index)
-                    role, pool = "honest", IdPool(self.honest_ids)
+                    role, pool = "honest", copy.copy(honest_pool)
                 else:
                     kind = sc.attacker_kind
                     if kind == "mixed":
@@ -616,9 +614,6 @@ class _Engine:
             while last and last * interval > self.duration:
                 last -= 1
             self.last_tick = last
-            for flow in self.flows:
-                self.seq += 1
-                flow.seq = self.seq
         if self.attacker_kinds and self.sc.attack_interval_s <= self.duration:
             self._push(self.sc.attack_interval_s, "atk", 1)
 
@@ -668,19 +663,16 @@ class _Engine:
 
     # ------------------------------------------------------------------ handlers
 
-    def _drain(self, cluster: int, until: float, until_seq: float) -> None:
-        """Run the cluster's arrivals and data services keyed before (until, until_seq).
+    def _drain(self, cluster: int, until: float) -> None:
+        """Run the cluster's arrivals and data services due before `until`.
 
-        Each keeps the (time, seq) key its own heap event would have: an
-        arrival the number its flow reserved at its previous arrival, a
-        service completion the number taken when it was dispatched.  Data
-        services draw no randomness, and flows, ranges and positions only
-        change in heap handlers, which drain the cluster first; so running
-        the keys in order here matches one heap event per packet exactly.
-        When nothing else falls due at a tick's instant, its arrivals run
-        in one pass.  No handshake is queued while the channel is idle or
-        serves a data job left to _drain (_handle_mob dispatches it at once,
-        or hands that job's end to the heap), so every dispatch here is a
+        At one instant, heap events run first, then a data service's end,
+        then that tick's arrivals in flow order.  Data services draw no
+        randomness, and flows, ranges and positions only change in heap
+        handlers, which drain their clusters up to their own instant
+        first.  No handshake is queued while the channel is idle or serves
+        a data job left to _drain (_handle_mob dispatches it at once, or
+        hands that job's end to the heap), so every dispatch here is a
         data dispatch by pick().
         """
         channel = self.channels[cluster]
@@ -688,38 +680,25 @@ class _Engine:
         tick = channel.tick
         done = channel.done
         flows = channel.flows
-        if not flows or tick * gen_interval > until and done > until:
+        if not flows or tick * gen_interval >= until and done >= until:
             return
-        count = len(flows)
         capacity = self.sc.queue_capacity
         data_time = self.data_time
         pick = channel.pick
         free = channel.handshake is None  # a handshake holds the channel till its heap event
-        seq = self.seq
-        first = channel.next_flow
         serving = channel.serving
-        done_seq = channel.seq
         while True:
             at = tick * gen_interval
-            if done < at or (done == at and done_seq < flows[first].seq):
-                if done > until or (done == until and done_seq >= until_seq):
+            if done <= at:
+                if done >= until:
                     break
                 serving.serve(done)
                 serving = pick()
-                if serving is None:
-                    done = math.inf
-                else:
-                    done += data_time
-                    seq += 1
-                    done_seq = seq
+                done = math.inf if serving is None else done + data_time
                 continue
-            if at > until or (at == until and flows[first].seq >= until_seq):
+            if at >= until:
                 break
-            if first == 0 and at < until and at < done:
-                batch = flows
-            else:
-                batch = (flows[first],)
-            for flow in batch:
+            for flow in flows:
                 queue = flow.queue
                 if len(queue) < capacity:
                     queue.append(at)
@@ -727,20 +706,10 @@ class _Engine:
                         serving = pick()
                         if serving is not None:
                             done = at + data_time
-                            seq += 1
-                            done_seq = seq
-                seq += 1
-                flow.seq = seq
-            first += len(batch)
-            if first == count:
-                first = 0
-                tick += 1
-        self.seq = seq
+            tick += 1
         channel.tick = tick
-        channel.next_flow = first
         channel.serving = serving
         channel.done = done
-        channel.seq = done_seq
 
     def _dispatch(self, cluster: int) -> None:
         """Start the next job on an idle channel: a queued handshake first."""
@@ -754,15 +723,13 @@ class _Engine:
             return
         flow = channel.pick()
         if flow is not None:
-            self.seq += 1
             channel.serving = flow
             channel.done = self.now + self.data_time
-            channel.seq = self.seq
 
-    def _handle_svc(self, cluster: int, seq: int) -> None:
+    def _handle_svc(self, cluster: int) -> None:
         """A handshake ends, or the data job a queued handshake waits behind."""
         if self.last_tick:  # else no arrival ever falls due: nothing to drain
-            self._drain(cluster, self.now, seq)
+            self._drain(cluster, self.now)
         channel = self.channels[cluster]
         job = channel.handshake
         if job is None:
@@ -777,11 +744,11 @@ class _Engine:
                 flow.connected = flow.reach = self._distance(flow.src, flow.dst) <= selected
         self._dispatch(cluster)
 
-    def _handle_mob(self, step_index: int, seq: int) -> None:
+    def _handle_mob(self, step_index: int) -> None:
         sc = self.sc
         if self.last_tick:
             for cluster in range(sc.clusters):
-                self._drain(cluster, self.now, seq)
+                self._drain(cluster, self.now)
         epoch = step_index % self.epoch_every == 0
         if step_index > 0:  # step 0 only runs discovery on the placements
             verifying = epoch and self.unverified
@@ -801,7 +768,7 @@ class _Engine:
         for cluster, channel in enumerate(self.channels):
             if channel.control and channel.done != math.inf:
                 # A handshake waits behind this data job: the heap ends it.
-                heapq.heappush(self.heap, (channel.done, channel.seq, "svc", cluster))
+                self._push(channel.done, "svc", cluster)
                 channel.done = math.inf
             self._dispatch(cluster)
         next_time = (step_index + 1) * sc.mobility_step_s
@@ -845,7 +812,7 @@ class _Engine:
         for index in retired:
             del unverified[index]
 
-    def _handle_atk(self, wave: int, seq: int) -> None:
+    def _handle_atk(self, wave: int) -> None:
         self.walk.advance(self.every_node, self.mob_step)
         for attacker in self.attacker_kinds:
             victim, distance = self._nearest(
@@ -908,7 +875,7 @@ class _Engine:
 
     # Plain functions, not bound methods: a table of bound methods kept on
     # the engine would form a reference cycle and outlive the run.  Each
-    # takes its event's payload and sequence number.
+    # takes its event's payload.
     _HANDLERS = {"svc": _handle_svc, "mob": _handle_mob, "atk": _handle_atk}
 
     def execute(self) -> ScenarioMetrics:
@@ -919,10 +886,11 @@ class _Engine:
             if time > self.duration:
                 break
             self.now = time
-            handlers[kind](self, payload, seq)
+            handlers[kind](self, payload)
         if self.last_tick:
+            end = math.nextafter(self.duration, math.inf)
             for cluster in range(self.sc.clusters):
-                self._drain(cluster, self.duration, math.inf)
+                self._drain(cluster, end)
 
         sc = self.sc
         # Every flow saw every arrival; each one it queued is delivered,

@@ -45,8 +45,8 @@ tx_rate_kbps = 600
 
 # Every flow's packet k falls due at the same instant.  Fed at the channel
 # rate, service completions can fall due at exactly such an instant; with
-# two-packet queues that decides whether an arrival finds room, so such a
-# service event must run between the right two flows' arrivals.
+# two-packet queues that decides whether an arrival finds room, so the
+# service's end must run before that tick's arrivals.
 SAME_TIME_CFG = """\
 clusters = 2
 nodes_per_cluster = 20
@@ -112,12 +112,12 @@ GOLDEN = {
     "desk-point-off": (
         DESK_POINT_CFG,
         ["--mode", "off", "--seed", "2", "--duration", "60"],
-        "aa71bc3302f38a355d280c36777c1cb0f9b1bb2da8965bedf7c0bf3578f27793",
+        "e16cbb906c35a2daacd08e783c8bf5846185aefcdc4a90c73990b2d4bbb542ac",
     ),
     "same-time-service-off": (
         SAME_TIME_CFG,
         ["--mode", "off", "--seed", "1", "--duration", "30"],
-        "5b3c5d70eb73ab039aecc2438fccaaa1c8d3f98cea3ed5d8d78b9be07913ca64",
+        "3bbf4b678928d0b23bb4e5a79f6bf9909f06af157d13cdff8e04bfc1c9d04c2b",
     ),
     "desk-200-off": (
         DESK_200_CFG,
@@ -132,7 +132,7 @@ GOLDEN = {
     "step-rate-sfv": (
         STEP_RATE_CFG,
         ["--mode", "sfv", "--seed", "2", "--duration", "20"],
-        "cc4966668fd32901cd49942caa8dd8a510e20cbcb8962f8f71a2a6fdb5f1d2c5",
+        "b86f17d57f3aed80592790c17a27760105f70ece2a06f7b502f8cf963190ec8b",
     ),
     "slow-channel-ranging": (
         SLOW_CHANNEL_CFG,
@@ -142,7 +142,7 @@ GOLDEN = {
     "last-instant-off": (
         LAST_INSTANT_CFG,
         ["--mode", "off", "--seed", "5", "--duration", "8.192"],
-        "c54ebe7708ff0fd0efa96c56062fadb9221ce11e18a77bb3c779dc684b1a1999",
+        "3c5df1f9191c3fa2d6fb97f081cde1e6dcdbd34899dd3d64b9e9075ec80e3e64",
     ),
 }
 

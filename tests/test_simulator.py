@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sfvsim import simulator
+from sfvsim import model, simulator
 from sfvsim.adversary import ReplayProfile
 from sfvsim.analytics import detection_rate
 from sfvsim.simulator import (
@@ -291,9 +291,9 @@ def test_zero_traffic_runs_skip_the_data_plane(monkeypatch):
     calls = []
     drain = simulator._Engine._drain
 
-    def counting(engine, cluster, until, until_seq):
+    def counting(engine, cluster, until):
         calls.append(cluster)
-        drain(engine, cluster, until, until_seq)
+        drain(engine, cluster, until)
 
     monkeypatch.setattr(simulator._Engine, "_drain", counting)
     kw = dict(cluster_width=400.0, cluster_height=400.0, flows_per_cluster=4,
@@ -305,6 +305,45 @@ def test_zero_traffic_runs_skip_the_data_plane(monkeypatch):
         "fca0a80b551fd23b105f7411f098b371df8ea149e41746f4afe5a751ac80e7d1")
     run_scenario(desk(seed=3, tx_rate_kbps=200.0, **kw), 1.0)
     assert calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_service_ending_at_a_tick_frees_its_slot_for_that_tick(seed):
+    # Packets every 2^-8 s and a 2^-9 s service are exact in binary, so the
+    # channel, serving a tick's two packets back to back, ends the second
+    # at the very instant the next tick's packets arrive.  A data service's
+    # end runs before that tick's arrivals, so one-packet queues always
+    # have room.
+    sc = Scenario(clusters=1, nodes_per_cluster=10, cluster_width=100.0,
+                  cluster_height=100.0, sfv_mode="off", flows_per_cluster=2,
+                  queue_capacity=1, tx_rate_kbps=1048.576,
+                  channel_capacity_kbps=2097.152, master_seed=seed)
+    m = run_scenario(sc, 5.0)
+    assert m.dropped_queue == 0
+    assert (m.generated, m.delivered, m.in_flight) == (2560, 2558, 2)
+
+
+def test_honest_pool_is_checked_once_and_shared(monkeypatch):
+    # One check for the honest pool plus one per claiming attacker; honest
+    # holders share its ID list but not its cursor.
+    calls = []
+    check = model.IdPool.__post_init__
+
+    def counting(pool):
+        calls.append(type(pool).__name__)
+        check(pool)
+
+    monkeypatch.setattr(model.IdPool, "__post_init__", counting)
+    engine = simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="mixed"), 1.0)
+    assert sorted(calls) == ["IdPool"] * 3 + ["SybilIdentitySet"] * 2
+    honest = [engine.profiles[i].pool for c in engine.honest_by_cluster for i in c]
+    pools = [profile.pool for profile in engine.honest_pair] + honest
+    assert all(pool.ids is engine.honest_ids for pool in pools)
+    assert len({id(pool) for pool in pools}) == len(pools)
+    calls.clear()
+    simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="replay",
+                           replay_profile=ReplayProfile(0.1, 0.1, 0.1)), 1.0)
+    assert calls == ["IdPool"]
 
 
 def test_mode_alias_normalized():
