@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import heapq
 import math
 import random
 import struct
@@ -345,7 +344,7 @@ class _Flow:
 
     Its packet k arrives at k * gen_interval; reach says whether a packet
     served now would find dst within selected_range (positions and ranges
-    only change in heap handlers, which refresh it).
+    only change at mobility steps and handshake ends, which refresh it).
     """
 
     __slots__ = (
@@ -377,23 +376,22 @@ class _Flow:
 
 
 class _Channel:
-    """One cluster's shared medium, single-server, and its data plane's cursor.
+    """One cluster's shared medium, a single server, and its arrivals' cursor.
 
-    handshake is the control job in service, serving the flow whose head
-    packet is in service; at most one of them is set.  A data job ends at
-    done, which is inf while no data job is left to _drain, because none
-    runs or because its end was handed to the heap.  Tick `tick` holds
-    the next arrivals.
+    job is the job in service and ends at done: a flow, whose head packet
+    is sent, or a handshake (duration, flow, evidence, range) taken from
+    control, the FIFO of handshakes that wait for the channel.  An idle
+    channel holds no job and done is inf.  Tick `tick` holds the next
+    arrivals.
     """
 
-    __slots__ = ("flows", "control", "rr", "handshake", "serving", "done", "tick")
+    __slots__ = ("flows", "control", "rr", "job", "done", "tick")
 
     def __init__(self, flows: list[_Flow]):
         self.flows = flows
         self.control: deque = deque()
         self.rr = 0
-        self.handshake = None
-        self.serving: _Flow | None = None
+        self.job = None
         self.done = math.inf
         self.tick = 1
 
@@ -446,18 +444,17 @@ class ScenarioMetrics:
 
 
 class _Engine:
-    """Event-driven core: a heap of (time, seq, kind, payload) records.
+    """Simulation core: mobility steps, attack waves and one channel per cluster.
 
-    Mobility advances in fixed batches; discovery and link setup happen on
+    Mobility advances in fixed steps; discovery and link setup happen on
     coarser epochs; packet generation and channel service run on exact
-    times.  The heap holds mobility steps ("mob"), attack waves ("atk")
-    and channel events ("svc"): the end of a handshake, or of the data job
-    a queued handshake waits behind.  CBR arrivals and the other data
-    services never enter it; _drain runs them per cluster before every mob
-    event (all clusters), every svc event (its cluster) and at the end of
-    the run.  All randomness flows from per-subsystem child streams of
-    the master seed, drawn in a fixed order, so equal seeds replay equal
-    runs and mobility never depends on mode or traffic settings.
+    times.  execute walks the mobility steps and attack waves in time
+    order.  Each cluster's channel serves one job at a time, a flow's
+    handshake or a data packet, and _drain runs its jobs and the CBR
+    arrivals up to every step and wave and to the end of the run.  All
+    randomness flows from per-subsystem child streams of the master seed,
+    drawn in a fixed order, so equal seeds replay equal runs and mobility
+    never depends on mode or traffic settings.
 
     Node positions live in the flat lists x and y of a RandomWaypoint,
     whose legs are closed-form and whose draws are per node, so a node's
@@ -490,8 +487,6 @@ class _Engine:
         self.attack_rng = random.Random(root.getrandbits(64))
         self.noise_rng = random.Random(root.getrandbits(64))
 
-        self.heap: list = []
-        self.seq = 0
         self.now = 0.0
         self.mob_step = 0  # the last mobility step that ran
         self.handshakes = 0
@@ -508,7 +503,6 @@ class _Engine:
 
         self._build_population()
         self._build_flows()
-        self._prime_events()
 
     # ------------------------------------------------------------------ setup
 
@@ -525,7 +519,9 @@ class _Engine:
         # None until a node is first verified; False, once flagged, for good.
         self.verdict: list[bool | None] = [None] * count
 
-        self.honest_ids = draw_distinct_ids(self.layout_rng, sc.n_ids, set())
+        # Every ID drawn, the honest pool's and each claiming attacker's, is distinct.
+        taken: set[int] = set()
+        self.honest_ids = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
         # The honest pool is checked once; every holder gets a shallow copy,
         # which shares its ID list and keeps its own cursor.
         honest_pool = IdPool(self.honest_ids)
@@ -546,7 +542,6 @@ class _Engine:
         self.honest_by_cluster: list[list[int]] = [[] for _ in range(sc.clusters)]
 
         per_cluster_attackers = round(sc.attacker_fraction * sc.nodes_per_cluster)
-        taken = {i.value for i in self.honest_ids}
         for c in range(sc.clusters):
             attacker_slots = set(
                 self.layout_rng.sample(range(sc.nodes_per_cluster), per_cluster_attackers))
@@ -599,9 +594,8 @@ class _Engine:
         self.endpoints = sorted({flow.src for flow in self.flows}
                                 | {flow.dst for flow in self.flows})
         self.channels = [_Channel(flows) for flows in cluster_flows]
-
-    def _prime_events(self) -> None:
-        self._push(0.0, "mob", 0)
+        # Only a channel with flows ever holds a job or an arrival.
+        self.flowing = [channel for channel in self.channels if channel.flows]
         # Every flow's packet k arrives at k * gen_interval, for k = 1..last_tick;
         # check_run bounds last_tick when there are flows.
         self.gen_interval = math.inf
@@ -614,14 +608,8 @@ class _Engine:
             while last and last * interval > self.duration:
                 last -= 1
             self.last_tick = last
-        if self.attacker_kinds and self.sc.attack_interval_s <= self.duration:
-            self._push(self.sc.attack_interval_s, "atk", 1)
 
     # ------------------------------------------------------------------ plumbing
-
-    def _push(self, time: float, kind: str, payload) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
 
     def _distance(self, a: int, b: int) -> float:
         x, y = self.x, self.y
@@ -663,38 +651,41 @@ class _Engine:
 
     # ------------------------------------------------------------------ handlers
 
-    def _drain(self, cluster: int, until: float) -> None:
-        """Run the cluster's arrivals and data services due before `until`.
+    def _drain(self, channel: _Channel, until: float) -> None:
+        """Run the channel's job ends and arrivals due before `until`.
 
-        At one instant, heap events run first, then a data service's end,
-        then that tick's arrivals in flow order.  Data services draw no
-        randomness, and flows, ranges and positions only change in heap
-        handlers, which drain their clusters up to their own instant
-        first.  No handshake is queued while the channel is idle or serves
-        a data job left to _drain (_handle_mob dispatches it at once, or
-        hands that job's end to the heap), so every dispatch here is a
-        data dispatch by pick().
+        When a job ends, the next starts at once: a queued handshake first,
+        else pick()'s data job.  An idle channel starts pick()'s data job
+        when a packet arrives, since no handshake waits at an idle channel
+        (_handle_mob starts it at once).  A tick's arrivals always run in
+        one pass.
         """
-        channel = self.channels[cluster]
         gen_interval = self.gen_interval
         tick = channel.tick
         done = channel.done
-        flows = channel.flows
-        if not flows or tick * gen_interval >= until and done >= until:
+        if tick * gen_interval >= until and done >= until:
             return
+        flows = channel.flows
         capacity = self.sc.queue_capacity
         data_time = self.data_time
         pick = channel.pick
-        free = channel.handshake is None  # a handshake holds the channel till its heap event
-        serving = channel.serving
+        control = channel.control
+        job = channel.job
         while True:
             at = tick * gen_interval
             if done <= at:
                 if done >= until:
                     break
-                serving.serve(done)
-                serving = pick()
-                done = math.inf if serving is None else done + data_time
+                if job.__class__ is tuple:
+                    self._finish(job)
+                else:
+                    job.serve(done)
+                if control:
+                    job = control.popleft()
+                    done += job[0]
+                else:
+                    job = pick()
+                    done = math.inf if job is None else done + data_time
                 continue
             if at >= until:
                 break
@@ -702,53 +693,28 @@ class _Engine:
                 queue = flow.queue
                 if len(queue) < capacity:
                     queue.append(at)
-                    if serving is None and free:
-                        serving = pick()
-                        if serving is not None:
+                    if job is None:
+                        job = pick()
+                        if job is not None:
                             done = at + data_time
             tick += 1
         channel.tick = tick
-        channel.serving = serving
+        channel.job = job
         channel.done = done
 
-    def _dispatch(self, cluster: int) -> None:
-        """Start the next job on an idle channel: a queued handshake first."""
-        channel = self.channels[cluster]
-        if channel.handshake is not None or channel.serving is not None:
-            return
-        if channel.control:
-            job = channel.control.popleft()
-            channel.handshake = job
-            self._push(self.now + job[0], "svc", cluster)
-            return
-        flow = channel.pick()
-        if flow is not None:
-            channel.serving = flow
-            channel.done = self.now + self.data_time
-
-    def _handle_svc(self, cluster: int) -> None:
-        """A handshake ends, or the data job a queued handshake waits behind."""
-        if self.last_tick:  # else no arrival ever falls due: nothing to drain
-            self._drain(cluster, self.now)
-        channel = self.channels[cluster]
-        job = channel.handshake
-        if job is None:
-            channel.serving.serve(self.now)
-            channel.serving = None
-        else:
-            channel.handshake = None
-            _, flow, evidence, selected = job
-            flow.handshaking = False
-            if self._handshake(flow.dst, evidence):
-                flow.selected_range = selected
-                flow.connected = flow.reach = self._distance(flow.src, flow.dst) <= selected
-        self._dispatch(cluster)
+    def _finish(self, job) -> None:
+        """A flow's handshake ends; a friendly verdict sets its link up."""
+        _, flow, evidence, selected = job
+        flow.handshaking = False
+        if self._handshake(flow.dst, evidence):
+            flow.selected_range = selected
+            flow.connected = flow.reach = self._distance(flow.src, flow.dst) <= selected
 
     def _handle_mob(self, step_index: int) -> None:
         sc = self.sc
-        if self.last_tick:
-            for cluster in range(sc.clusters):
-                self._drain(cluster, self.now)
+        now = self.now
+        for channel in self.flowing:
+            self._drain(channel, now)
         epoch = step_index % self.epoch_every == 0
         if step_index > 0:  # step 0 only runs discovery on the placements
             verifying = epoch and self.unverified
@@ -765,15 +731,14 @@ class _Engine:
             flow.reach = distance <= flow.selected_range
         if epoch and sc.neighbor_verification:
             self._verify_neighbors()
-        for cluster, channel in enumerate(self.channels):
-            if channel.control and channel.done != math.inf:
-                # A handshake waits behind this data job: the heap ends it.
-                self._push(channel.done, "svc", cluster)
-                channel.done = math.inf
-            self._dispatch(cluster)
-        next_time = (step_index + 1) * sc.mobility_step_s
-        if next_time <= self.duration:
-            self._push(next_time, "mob", step_index + 1)
+        for channel in self.flowing:
+            if channel.job is None:  # start its next job: a queued handshake first
+                if channel.control:
+                    channel.job = channel.control.popleft()
+                    channel.done = now + channel.job[0]
+                elif (flow := channel.pick()) is not None:
+                    channel.job = flow
+                    channel.done = now + self.data_time
 
     def _try_connect(self, flow: _Flow, distance: float) -> None:
         sc = self.sc
@@ -812,7 +777,11 @@ class _Engine:
         for index in retired:
             del unverified[index]
 
-    def _handle_atk(self, wave: int) -> None:
+    def _handle_atk(self) -> None:
+        # A wave's checks draw from the handshake stream, as a handshake's
+        # end does, so the channels first run every end before it.
+        for channel in self.flowing:
+            self._drain(channel, self.now)
         self.walk.advance(self.every_node, self.mob_step)
         for attacker in self.attacker_kinds:
             victim, distance = self._nearest(
@@ -822,9 +791,6 @@ class _Engine:
             self.attack_attempts += 1
             if not self._verify(victim, attacker, distance):
                 self.attacks_detected += 1
-        next_time = (wave + 1) * self.sc.attack_interval_s
-        if next_time <= self.duration:
-            self._push(next_time, "atk", wave + 1)
 
     def _nearest(self, origin: int, candidates: list[int]) -> tuple[int | None, float]:
         """The candidate nearest to origin, the first of equally near ones,
@@ -873,24 +839,28 @@ class _Engine:
 
     # ------------------------------------------------------------------ loop
 
-    # Plain functions, not bound methods: a table of bound methods kept on
-    # the engine would form a reference cycle and outlive the run.  Each
-    # takes its event's payload.
-    _HANDLERS = {"svc": _handle_svc, "mob": _handle_mob, "atk": _handle_atk}
-
     def execute(self) -> ScenarioMetrics:
-        handlers = self._HANDLERS
-        heap = self.heap
-        while heap:
-            time, seq, kind, payload = heapq.heappop(heap)
-            if time > self.duration:
-                break
-            self.now = time
-            handlers[kind](self, payload)
-        if self.last_tick:
-            end = math.nextafter(self.duration, math.inf)
-            for cluster in range(self.sc.clusters):
-                self._drain(cluster, end)
+        """Run mobility step k at k * mobility_step_s and attack wave w >= 1
+        at w * attack_interval_s, in time order, up to the run's end.
+
+        At one instant, an attack wave runs first, then the mobility step,
+        then a channel job's end, then that tick's arrivals in flow order.
+        """
+        duration = self.duration
+        step_s = self.sc.mobility_step_s
+        wave_s = self.sc.attack_interval_s if self.attacker_kinds else math.inf
+        step, wave = 0, 1
+        while (now := min(step * step_s, wave * wave_s)) <= duration:
+            self.now = now
+            if wave * wave_s == now:
+                self._handle_atk()
+                wave += 1
+            else:
+                self._handle_mob(step)
+                step += 1
+        end = math.nextafter(duration, math.inf)
+        for channel in self.flowing:
+            self._drain(channel, end)
 
         sc = self.sc
         # Every flow saw every arrival; each one it queued is delivered,

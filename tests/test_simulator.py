@@ -1,13 +1,10 @@
 """Mobility, the event engine, and the network-shape properties."""
 
 import hashlib
-import heapq
 import math
 import random
 import statistics
-from collections import Counter
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
@@ -250,29 +247,36 @@ def test_positions_do_not_depend_on_mode_verification_or_attackers():
     assert positions[0] == positions[1]
 
 
-def test_heap_holds_no_per_packet_event(monkeypatch):
-    # A saturated 2000 kbps desk point: arrivals and data services run in
-    # _drain, so the heap sees mobility steps, attack waves, and per
-    # handshake its own end plus at most the data job it waited behind.
-    pushed = Counter()
+def test_steps_and_waves_run_once_each_in_time_order(monkeypatch):
+    # execute walks mobility steps and attack waves by their own counters.
+    # At the default intervals every wave ties a step (wave w, step 40 w),
+    # and the wave runs first.
+    ran = []
+    handle_mob = simulator._Engine._handle_mob
+    handle_atk = simulator._Engine._handle_atk
 
-    def counting(heap, item):
-        pushed[item[2]] += 1
-        heapq.heappush(heap, item)
+    def mob(engine, step):
+        ran.append((engine.now, "step", step))
+        handle_mob(engine, step)
 
-    monkeypatch.setattr(simulator, "heapq",
-                        SimpleNamespace(heappush=counting, heappop=heapq.heappop))
+    def atk(engine):
+        ran.append((engine.now, "wave"))
+        handle_atk(engine)
+
+    monkeypatch.setattr(simulator._Engine, "_handle_mob", mob)
+    monkeypatch.setattr(simulator._Engine, "_handle_atk", atk)
     sc = replace(rate_scenario(2, "sfv-ranging", 2000.0), attacker_fraction=0.1)
-    duration = 60.0
+    duration = 10.0
     m = run_scenario(sc, duration)
-    mobility_steps = round(duration / sc.mobility_step_s) + 1  # steps 0..N
-    waves = math.floor(duration / sc.attack_interval_s)
-    assert pushed["mob"] == mobility_steps and pushed["atk"] == waves
-    # A handshake still running at the end has pushed its events but is
-    # not in m.handshakes: at most one per cluster.
-    assert 0 < pushed["svc"] <= 2 * (m.handshakes + sc.clusters)
-    assert sum(pushed.values()) <= mobility_steps + waves + 2 * (m.handshakes + sc.clusters)
-    assert m.generated > 50 * sum(pushed.values())
+    steps = [event for event in ran if event[1] == "step"]
+    waves = [event for event in ran if event[1] == "wave"]
+    assert steps == [(k * sc.mobility_step_s, "step", k)
+                     for k in range(round(duration / sc.mobility_step_s) + 1)]
+    assert waves == [(w * sc.attack_interval_s, "wave")
+                     for w in range(1, math.floor(duration / sc.attack_interval_s) + 1)]
+    assert [event[0] for event in ran] == sorted(event[0] for event in ran)
+    assert ran.index((1.0, "wave")) + 1 == ran.index((1.0, "step", 40))
+    assert m.attack_attempts > 0 and m.generated > 50 * len(ran)
 
 
 def test_zero_traffic_flagged():
@@ -283,28 +287,57 @@ def test_zero_traffic_flagged():
     assert m.pdr == 1.0
 
 
-def test_zero_traffic_runs_skip_the_data_plane(monkeypatch):
-    # At a zero rate no arrival ever falls due, so the mobility, service
-    # and end-of-run barriers call no _drain.  The run still scans,
-    # shakes hands and meets attackers, and its metrics are the ones
-    # recorded before the barriers skipped the call.
-    calls = []
-    drain = simulator._Engine._drain
-
-    def counting(engine, cluster, until):
-        calls.append(cluster)
-        drain(engine, cluster, until)
-
-    monkeypatch.setattr(simulator._Engine, "_drain", counting)
+def test_zero_traffic_runs_skip_the_data_plane():
+    # At a zero rate no arrival ever falls due, so no channel runs a tick.
+    # Handshakes still run on the channels, and the run still scans, shakes
+    # hands and meets attackers.
     kw = dict(cluster_width=400.0, cluster_height=400.0, flows_per_cluster=4,
               sfv_mode="sfv-ranging", neighbor_verification=True, attacker_fraction=0.1)
-    m = run_scenario(desk(seed=3, tx_rate_kbps=0.0, **kw), 10.0)
-    assert calls == []
+    engine = simulator._Engine(desk(seed=3, tx_rate_kbps=0.0, **kw), 10.0)
+    m = engine.execute()
+    assert [channel.tick for channel in engine.channels] == [1, 1]
     assert (m.generated, m.handshakes, m.attack_attempts) == (0, 325, 40)
     assert hashlib.sha256(repr(m).encode()).hexdigest() == (
         "fca0a80b551fd23b105f7411f098b371df8ea149e41746f4afe5a751ac80e7d1")
-    run_scenario(desk(seed=3, tx_rate_kbps=200.0, **kw), 1.0)
-    assert calls
+    engine = simulator._Engine(desk(seed=3, tx_rate_kbps=200.0, **kw), 1.0)
+    engine.execute()
+    assert all(channel.tick > 1 for channel in engine.channels)
+
+
+def test_a_handshake_ending_on_a_step_reads_that_steps_positions(monkeypatch):
+    # With one radio range every handshake lasts exactly one step and,
+    # with no traffic, starts on the step that queued it, so it ends on
+    # the next step's instant.  That step runs first, and the handshake's
+    # link check reads its positions.
+    dt = 0.03125
+    sc = Scenario(clusters=1, nodes_per_cluster=10, flows_per_cluster=1, sfv_mode="sfv",
+                  radio_ranges=(60.0,), tx_rate_kbps=0.0, mobility_step_s=dt,
+                  discovery_interval_s=dt, handshake_base_s=dt, master_seed=2)
+    queued, ended = [], []
+    try_connect = simulator._Engine._try_connect
+    handshake = simulator._Engine._handshake
+
+    def connecting(engine, flow, distance):
+        try_connect(engine, flow, distance)
+        if flow.handshaking:
+            queued.append(engine.mob_step)
+
+    def shaking(engine, responder, evidence):
+        flow = engine.flows[0]
+        ended.append((engine.mob_step, engine.x[flow.src], engine.y[flow.src],
+                      engine.x[flow.dst], engine.y[flow.dst]))
+        return handshake(engine, responder, evidence)
+
+    monkeypatch.setattr(simulator._Engine, "_try_connect", connecting)
+    monkeypatch.setattr(simulator._Engine, "_handshake", shaking)
+    m = run_scenario(sc, 30.0)
+    assert m.handshakes == len(ended) == 3
+    assert [step for step, *_ in ended] == [step + 1 for step in queued[:len(ended)]]
+    fresh = simulator._Engine(sc, 30.0)
+    flow = fresh.flows[0]
+    for step, *seen in ended:
+        fresh.walk.advance([flow.src, flow.dst], step)
+        assert seen == [fresh.x[flow.src], fresh.y[flow.src], fresh.x[flow.dst], fresh.y[flow.dst]]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
