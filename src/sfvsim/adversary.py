@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import IdPool, NodeProfile, RangingEvidence, select_symmetric_id
+from .model import IdPool, NodeProfile, RangingEvidence
 from .protocol import HandshakeConfig, Verdict, run_handshake
 from .ranging import LIGHTSPEED
 
@@ -65,8 +65,8 @@ class SybilIdentitySet(IdPool):
 
     The pool's ids are the claimed ones.  They must be disjoint from the
     honest pool; the simulator draws them so, since only it sees both
-    sets.  The cursor cycles so consecutive attempts impersonate
-    successive identities.
+    sets.  The cursor cycles so consecutive block exchanges impersonate
+    successive identities.  Nothing reads victim.
     """
 
     victim: str = field(kw_only=True)
@@ -86,15 +86,12 @@ def sybil_attempt(
 ) -> Verdict:
     """One masquerade attempt: the victim verifies the next claimed identity.
 
-    The attacker is physically co-located (evidence passes thresholds) but
-    its claimed ID seeds the wrong keystream word, so checksums fail.
-    rng is required, and its absence is refused before the cursor moves.
+    The attacker is physically co-located (evidence passes thresholds) and
+    presents its identity set as its pool, but the claimed ID seeds the
+    wrong keystream word, so checksums fail.  run_handshake refuses a
+    missing rng before the cursor moves.
     """
-    if rng is None:
-        raise ValueError("sybil_attempt needs an rng for the block payloads")
-    claimed = select_symmetric_id(attacker)
-    impostor = NodeProfile(f"sybil-against-{attacker.victim}", victim.position, (0.0, 0.0),
-                           "sybil", IdPool([claimed]))
+    impostor = NodeProfile("sybil", victim.position, (0.0, 0.0), "sybil", attacker)
     return run_handshake(victim, impostor, evidence, cfg, rng)
 
 

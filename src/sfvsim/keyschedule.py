@@ -30,7 +30,6 @@ from .model import (
     PAYLOAD_BYTES,
     Block,
     RangingEvidence,
-    SymmetricId,
 )
 
 _M64 = (1 << 64) - 1
@@ -99,13 +98,13 @@ class SfvSession:
     seeds with the halves of the key it just consumed.
     """
 
-    id: SymmetricId
+    id: int  # the 26-bit symmetric ID
     direction: str  # "encryptor" | "decryptor"
     seed_i: int
     seed_n: int
 
 
-def init_session(evidence: RangingEvidence, id: SymmetricId, direction: str) -> SfvSession:
+def init_session(evidence: RangingEvidence, id: int, direction: str) -> SfvSession:
     """Derive block-zero seeds from link evidence."""
     if direction not in ("encryptor", "decryptor"):
         raise ValueError(f"direction must be 'encryptor' or 'decryptor', got {direction!r}")
@@ -124,7 +123,7 @@ def encrypt_block(session: SfvSession, plain: Block) -> Block:
     block = int.from_bytes(plain.data, "big")
     k1 = rng1(session.seed_i)
     k3 = rng2(session.seed_n) ^ (block >> _FEEDBACK_SHIFT)
-    packed = (k1 << _K1_SHIFT) | (session.id.value << K3_BITS) | k3
+    packed = (k1 << _K1_SHIFT) | (session.id << K3_BITS) | k3
     session.seed_i, session.seed_n = packed >> HALF_BITS, packed & _MASK_HALF
     # The mask is the packed key, then the zero pad.
     return Block((block ^ (packed << PAD_BITS)).to_bytes(BLOCK_BYTES, "big"))
@@ -142,7 +141,7 @@ def decrypt_block(session: SfvSession, cipher: Block) -> Block:
     block = int.from_bytes(cipher.data, "big")
     k1 = rng1(session.seed_i)
     k3 = rng2(session.seed_n) ^ (block >> _FEEDBACK_SHIFT) ^ k1
-    packed = (k1 << _K1_SHIFT) | (session.id.value << K3_BITS) | k3
+    packed = (k1 << _K1_SHIFT) | (session.id << K3_BITS) | k3
     session.seed_i, session.seed_n = packed >> HALF_BITS, packed & _MASK_HALF
     return Block((block ^ (packed << PAD_BITS)).to_bytes(BLOCK_BYTES, "big"))
 
@@ -151,7 +150,7 @@ def _exchange(sender: tuple[int, int, int], receiver: tuple[int, int, int],
               m_blocks: int, rng: random.Random) -> int:
     """Send up to m_blocks random checksummed blocks; return how many verified.
 
-    sender and receiver are (seed_i, seed_n, id value).  This is
+    sender and receiver are (seed_i, seed_n, symmetric ID).  This is
     encrypt_block and decrypt_block inlined: each block draws its payload
     from rng, the receiver decrypts with its own key, both seed pairs roll
     from the keys just used, and the exchange stops at the first block

@@ -27,15 +27,15 @@ BLOCK_BYTES = PAYLOAD_BYTES + CHECKSUM_BYTES
 _MASK_ID = (1 << ID_BITS) - 1
 
 
-@dataclass(frozen=True)
-class SymmetricId:
-    """A 26-bit shared identifier drawn from a pre-provisioned pool."""
+class SymmetricId(int):
+    """A 26-bit shared identifier, checked on construction; equal to its int."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.value <= _MASK_ID:
-            raise ValueError(f"symmetric id out of 26-bit range: {self.value}")
+    def __new__(cls, value: int):
+        if not 0 <= value <= _MASK_ID:
+            raise ValueError(f"symmetric id out of 26-bit range: {value}")
+        return super().__new__(cls, value)
 
 
 @dataclass(slots=True)
@@ -48,19 +48,21 @@ class IdPool:
     per-node copies small.
     """
 
-    ids: list[SymmetricId]
+    ids: list[int]
     next_index: int = 0
 
     def __post_init__(self):
-        values = [i.value for i in self.ids]
-        if len(set(values)) != len(values):
+        ids = self.ids
+        if len(set(ids)) != len(ids):
             raise ValueError("id pool contains duplicate ids")
+        if ids and not 0 <= min(ids) <= max(ids) <= _MASK_ID:
+            raise ValueError("id pool holds an id out of 26-bit range")
 
 
-def draw_distinct_ids(rng: random.Random, count: int, taken: set[int]) -> list[SymmetricId]:
+def draw_distinct_ids(rng: random.Random, count: int, taken: set[int]) -> list[int]:
     """Draw count 26-bit IDs from rng that are not in taken, and add them to it.
 
-    Each try is one getrandbits(26) draw; a value already taken is skipped.
+    Each try is one getrandbits(26) draw, in range; a taken value is skipped.
     A count beyond the IDs left free is refused before the first draw.
     """
     free = (1 << ID_BITS) - len(taken)
@@ -71,11 +73,11 @@ def draw_distinct_ids(rng: random.Random, count: int, taken: set[int]) -> list[S
         value = rng.getrandbits(ID_BITS)
         if value not in taken:
             taken.add(value)
-            ids.append(SymmetricId(value))
+            ids.append(value)
     return ids
 
 
-def select_symmetric_id(pool: IdPool) -> SymmetricId:
+def select_symmetric_id(pool: IdPool) -> int:
     """Return the pool's next ID and advance the cursor cyclically."""
     if not pool.ids:
         raise ValueError("cannot select from an empty id pool")

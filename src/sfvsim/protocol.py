@@ -52,26 +52,25 @@ class HandshakeConfig:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Handshake outcome.  Friendly means no failure reasons and all
-    m blocks verified; anything else is suspicious."""
+    """Handshake outcome: friendly when there are no failure reasons,
+    which needs all m blocks verified; anything else is suspicious."""
 
-    outcome: str  # "friendly" | "suspicious"
     reasons: tuple[str, ...]
     blocks_verified: int
     m_blocks: int
 
     def __post_init__(self):
-        friendly = not self.reasons and self.blocks_verified == self.m_blocks
-        expected = "friendly" if friendly else "suspicious"
-        if self.outcome != expected:
-            raise ValueError(
-                f"inconsistent verdict: outcome={self.outcome!r} with "
-                f"reasons={self.reasons} blocks={self.blocks_verified}/{self.m_blocks}"
-            )
+        if not self.reasons and self.blocks_verified != self.m_blocks:
+            raise ValueError(f"a verdict without reasons verified "
+                             f"{self.blocks_verified} of {self.m_blocks} blocks")
 
     @property
     def friendly(self) -> bool:
-        return self.outcome == "friendly"
+        return not self.reasons
+
+    @property
+    def outcome(self) -> str:
+        return "suspicious" if self.reasons else "friendly"
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def run_handshake(
             accepted = candidate
             break
     if accepted is None:
-        verdict = Verdict("suspicious", result.reasons, 0, cfg.m_blocks)
+        verdict = Verdict(result.reasons, 0, cfg.m_blocks)
         if log is not None:
             log.append(TranscriptEvent("verdict", "final", None, verdict.outcome))
         return verdict
@@ -150,7 +149,7 @@ def run_handshake(
         receiver = (seed_from_location(responder_view), seed_from_rtt(responder_view))
     initiator_id = select_symmetric_id(initiator.pool)
     responder_id = select_symmetric_id(responder.pool)
-    blocks_verified = _exchange((*sender, initiator_id.value), (*receiver, responder_id.value),
+    blocks_verified = _exchange((*sender, initiator_id), (*receiver, responder_id),
                                 cfg.m_blocks, rng)
 
     reasons: tuple[str, ...] = ()
@@ -160,8 +159,7 @@ def run_handshake(
         # cause when the endpoint credentials actually differ.
         if initiator_id != responder_id:
             reasons += (REASON_ID_MISMATCH,)
-    verdict = Verdict("suspicious" if reasons else "friendly", reasons,
-                      blocks_verified, cfg.m_blocks)
+    verdict = Verdict(reasons, blocks_verified, cfg.m_blocks)
     if log is not None:
         log.append(TranscriptEvent("setup", "initiator-seeds", None, _seed_digest(*sender)))
         log.append(TranscriptEvent("setup", "responder-seeds", None, _seed_digest(*receiver)))

@@ -83,13 +83,16 @@ def angular_distance(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Outcome of evidence validation: pass/fail plus the failed checks."""
+    """Outcome of evidence validation: the failed checks, none on a pass."""
 
-    passed: bool
     reasons: tuple[str, ...]
 
+    @property
+    def passed(self) -> bool:
+        return not self.reasons
 
-_PASSED = ThresholdResult(True, ())  # frozen, so every pass shares it
+
+_PASSED = ThresholdResult(())  # frozen, so every pass shares it
 
 
 def validate_evidence(evidence: RangingEvidence) -> ThresholdResult:
@@ -105,7 +108,7 @@ def validate_evidence(evidence: RangingEvidence) -> ThresholdResult:
         reasons.append(REASON_RTT)
     if angular_distance(evidence.aoa, evidence.aoa_center) > evidence.aoa_halfwidth:
         reasons.append(REASON_AOA)
-    return ThresholdResult(False, tuple(reasons)) if reasons else _PASSED
+    return ThresholdResult(tuple(reasons)) if reasons else _PASSED
 
 
 @dataclass(frozen=True)

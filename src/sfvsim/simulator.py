@@ -713,8 +713,6 @@ class _Engine:
     def _handle_mob(self, step_index: int) -> None:
         sc = self.sc
         now = self.now
-        for channel in self.flowing:
-            self._drain(channel, now)
         epoch = step_index % self.epoch_every == 0
         if step_index > 0:  # step 0 only runs discovery on the placements
             verifying = epoch and self.unverified
@@ -778,10 +776,6 @@ class _Engine:
             del unverified[index]
 
     def _handle_atk(self) -> None:
-        # A wave's checks draw from the handshake stream, as a handshake's
-        # end does, so the channels first run every end before it.
-        for channel in self.flowing:
-            self._drain(channel, self.now)
         self.walk.advance(self.every_node, self.mob_step)
         for attacker in self.attacker_kinds:
             victim, distance = self._nearest(
@@ -852,6 +846,10 @@ class _Engine:
         step, wave = 0, 1
         while (now := min(step * step_s, wave * wave_s)) <= duration:
             self.now = now
+            # Every job end and arrival before this instant runs first: it sees
+            # the old links, and draws from the handshake stream before a wave.
+            for channel in self.flowing:
+                self._drain(channel, now)
             if wave * wave_s == now:
                 self._handle_atk()
                 wave += 1

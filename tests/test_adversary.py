@@ -104,9 +104,9 @@ def test_disjointness_check():
     sc = simulator.Scenario(clusters=1, nodes_per_cluster=7, master_seed=1,
                   attacker_fraction=1.0, attacker_kind="mixed")
     engine = simulator._Engine(sc, 1.0)
-    groups = [{i.value for i in engine.honest_ids}]
+    groups = [set(engine.honest_ids)]
     for index in sorted(engine.attacker_kinds):
-        groups.append({i.value for i in engine.profiles[index].pool.ids})
+        groups.append(set(engine.profiles[index].pool.ids))
     assert all(len(group) == sc.n_ids for group in groups)
     assert len(set().union(*groups)) == sc.n_ids * len(groups)
     sybils = [index for index, kind in sorted(engine.attacker_kinds.items()) if kind == "sybil"]
@@ -148,6 +148,18 @@ def test_sybil_attempts_all_rejected_and_cursor_cycles():
     assert all(v.outcome == "suspicious" for v in verdicts)
     # fourth attempt wrapped around to the first forged identity
     assert attacker.next_index == 4 % 3
+
+
+def test_sybil_attempt_presents_its_own_set_and_builds_no_pool(monkeypatch):
+    attacker = SybilIdentitySet([SymmetricId(100), SymmetricId(200)], victim="victim")
+    victim = honest_node()
+    monkeypatch.setattr(IdPool, "__post_init__", lambda pool: pytest.fail("a pool was built"))
+    rng = random.Random(1)
+    # Only a block exchange presents an ID: a link the gates reject moves no cursor.
+    far = sybil_attempt(attacker, victim, evidence_for_link(300.0, 0.0, 270.0), rng=rng)
+    assert far.reasons == (REASON_DISTANCE,) and attacker.next_index == 0
+    near = sybil_attempt(attacker, victim, evidence_for_link(120.0, 0.0, 270.0), rng=rng)
+    assert not near.friendly and attacker.next_index == 1
 
 
 def test_sybil_attempt_without_rng_is_refused_before_the_cursor_moves():

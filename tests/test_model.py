@@ -29,8 +29,10 @@ from sfvsim.model import (
 # ---------------------------------------------------------------- identities
 
 def test_symmetric_id_accepts_26_bit_range():
-    assert SymmetricId(0).value == 0
-    assert SymmetricId(2**26 - 1).value == 2**26 - 1
+    assert SymmetricId(0) == 0
+    assert SymmetricId(2**26 - 1) == 2**26 - 1
+    # An ID is an int: it hashes as its value, so a set or dict mixes both.
+    assert {SymmetricId(5), 5} == {5}
 
 
 @pytest.mark.parametrize("bad", [-1, 2**26, 2**32])
@@ -46,11 +48,13 @@ def test_draw_distinct_ids_skips_and_extends_taken():
     taken = {first[1], 123}
     rng = random.Random(7)
     ids = draw_distinct_ids(rng, 3, taken)
-    assert [i.value for i in ids] == [first[0], first[2], first[3]]
+    assert ids == [first[0], first[2], first[3]]
     assert taken == {first[0], first[1], first[2], first[3], 123}
     assert rng.getstate() == preview.getstate()
     many = draw_distinct_ids(random.Random(8), 500, set())
-    assert len({i.value for i in many}) == 500
+    assert len(set(many)) == 500
+    # Drawn IDs are plain ints, in range by construction.
+    assert {type(i) for i in ids + many} == {int}
 
 
 def test_draw_distinct_ids_refuses_more_than_the_free_ids_without_drawing():
@@ -217,18 +221,18 @@ def test_block_length_enforced(n):
 
 def test_pool_singleton_repeats():
     pool = IdPool([SymmetricId(5)])
-    assert [select_symmetric_id(pool).value for _ in range(3)] == [5, 5, 5]
+    assert [select_symmetric_id(pool) for _ in range(3)] == [5, 5, 5]
 
 
 def test_pool_round_robin_wraps():
     pool = IdPool([SymmetricId(1), SymmetricId(2), SymmetricId(3)])
-    assert [select_symmetric_id(pool).value for _ in range(4)] == [1, 2, 3, 1]
+    assert [select_symmetric_id(pool) for _ in range(4)] == [1, 2, 3, 1]
 
 
 def test_pool_consecutive_sessions_rotate():
     pool = IdPool([SymmetricId(7), SymmetricId(9)])
-    assert select_symmetric_id(pool).value == 7
-    assert select_symmetric_id(pool).value == 9
+    assert select_symmetric_id(pool) == 7
+    assert select_symmetric_id(pool) == 9
 
 
 def test_pool_rejects_duplicates_and_empty_selection():
@@ -236,6 +240,16 @@ def test_pool_rejects_duplicates_and_empty_selection():
         IdPool([SymmetricId(1), SymmetricId(1)])
     with pytest.raises(ValueError):
         select_symmetric_id(IdPool([]))
+
+
+def test_pool_checks_raw_ints_like_symmetric_ids():
+    # A SymmetricId and the plain int of its value are one ID.
+    with pytest.raises(ValueError, match="duplicate"):
+        IdPool([SymmetricId(5), 5])
+    for bad in (1 << 26, -1):
+        with pytest.raises(ValueError, match="range"):
+            IdPool([3, bad])
+    assert IdPool([0, (1 << 26) - 1]).ids == [0, (1 << 26) - 1]
 
 
 # ------------------------------------------------------------- evidence/node

@@ -44,14 +44,13 @@ def test_config_validation():
 
 
 def test_verdict_consistency_enforced():
-    Verdict("friendly", (), 4, 4)
-    Verdict("suspicious", ("threshold-distance",), 0, 4)
+    # The outcome follows the reasons; no reasons needs every block verified.
+    friendly = Verdict((), 4, 4)
+    assert (friendly.friendly, friendly.outcome) == (True, "friendly")
+    suspicious = Verdict(("threshold-distance",), 0, 4)
+    assert (suspicious.friendly, suspicious.outcome) == (False, "suspicious")
     with pytest.raises(ValueError):
-        Verdict("friendly", ("threshold-distance",), 4, 4)
-    with pytest.raises(ValueError):
-        Verdict("friendly", (), 3, 4)
-    with pytest.raises(ValueError):
-        Verdict("suspicious", (), 4, 4)
+        Verdict((), 3, 4)
 
 
 # ---------------------------------------------------------------- handshakes

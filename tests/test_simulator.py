@@ -373,6 +373,9 @@ def test_honest_pool_is_checked_once_and_shared(monkeypatch):
     pools = [profile.pool for profile in engine.honest_pair] + honest
     assert all(pool.ids is engine.honest_ids for pool in pools)
     assert len({id(pool) for pool in pools}) == len(pools)
+    # Every pool, the honest one and each attacker's, holds plain ints.
+    claimed = [engine.profiles[i].pool.ids for i in engine.attacker_kinds]
+    assert {type(i) for ids in [engine.honest_ids, *claimed] for i in ids} == {int}
     calls.clear()
     simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="replay",
                            replay_profile=ReplayProfile(0.1, 0.1, 0.1)), 1.0)
