@@ -38,6 +38,7 @@ _MASK_HALF = (1 << HALF_BITS) - 1
 _K1_SHIFT = ID_BITS + K3_BITS  # k1 leads the packed key
 _FEEDBACK_SHIFT = BLOCK_BYTES * 8 - K1_BITS  # a block's leading 32 bits
 _CHECKSUM_BITS = CHECKSUM_BYTES * 8
+_PAYLOAD_BITS = PAYLOAD_BYTES * 8
 _CHECKSUM_MASK = (1 << _CHECKSUM_BITS) - 1
 
 # Fixed 64-bit mixing constants.  Both generators run the same
@@ -160,9 +161,10 @@ def _exchange(sender: tuple[int, int, int], receiver: tuple[int, int, int],
     seed_i, seed_n, id_a = sender
     seed_r, seed_t, id_b = receiver
     id_a, id_b = id_a << K3_BITS, id_b << K3_BITS
-    randbytes = rng.randbytes
+    # Random.randbytes(n) is getrandbits(8 n).to_bytes(n, "little"), without its frame.
+    getrandbits = rng.getrandbits
     for verified in range(m_blocks):
-        payload = randbytes(PAYLOAD_BYTES)
+        payload = getrandbits(_PAYLOAD_BITS).to_bytes(PAYLOAD_BYTES, "little")
         plain = (int.from_bytes(payload, "big") << _CHECKSUM_BITS) | crc_hqx(payload, 0xFFFF)
         z, y = (seed_i + _ADD_1) & _M64, (seed_n + _ADD_2) & _M64
         z, y = ((z ^ (z >> 30)) * _MUL_A) & _M64, ((y ^ (y >> 30)) * _MUL_A) & _M64

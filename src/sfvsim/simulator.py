@@ -342,13 +342,19 @@ def cluster_rects(scenario: Scenario) -> list[tuple[float, float, float, float]]
 class _Flow:
     """One constant-rate source-destination pair inside a cluster.
 
-    Its packet k arrives at k * gen_interval; reach says whether a packet
-    served now would find dst within selected_range (positions and ranges
-    only change at mobility steps and handshake ends, which refresh it).
+    Its packet k arrives at k * gen_interval.  queue holds the tick numbers
+    of the packets it kept, and tick is its first packet not yet offered
+    to the queue: the flow takes its pending packets, those before its
+    channel's tick, only when it is served or the run ends.  A service is
+    the only thing that removes a packet, so taking them then, as many as
+    the queue has room for, keeps and drops exactly the packets that
+    taking each on arrival would.  reach says whether a packet served now
+    would find dst within selected_range (positions and ranges only change
+    at mobility steps and handshake ends, which refresh it).
     """
 
     __slots__ = (
-        "src", "dst", "cluster", "queue", "dropped_range", "delivered",
+        "src", "dst", "cluster", "queue", "tick", "dropped_range", "delivered",
         "total_delay", "connected", "handshaking", "selected_range", "reach",
     )
 
@@ -356,7 +362,8 @@ class _Flow:
         self.src = src
         self.dst = dst
         self.cluster = cluster
-        self.queue: deque[float] = deque()
+        self.queue: deque[int] = deque()
+        self.tick = 1
         self.dropped_range = 0
         self.delivered = 0
         self.total_delay = 0.0
@@ -365,14 +372,15 @@ class _Flow:
         self.selected_range = 0.0
         self.reach = False
 
-    def serve(self, now: float) -> None:
-        """The head packet's service ends at `now`."""
-        sent_at = self.queue.popleft()
-        if self.reach:
-            self.delivered += 1
-            self.total_delay += now - sent_at
-        else:
-            self.dropped_range += 1
+    def take(self, tick: int, capacity: int) -> None:
+        """Queue the pending packets before `tick` that fit; drop the rest."""
+        queue = self.queue
+        first = self.tick
+        last = first + capacity - len(queue)
+        while first < tick and first < last:
+            queue.append(first)
+            first += 1
+        self.tick = tick
 
 
 class _Channel:
@@ -381,8 +389,10 @@ class _Channel:
     job is the job in service and ends at done: a flow, whose head packet
     is sent, or a handshake (duration, flow, evidence, range) taken from
     control, the FIFO of handshakes that wait for the channel.  An idle
-    channel holds no job and done is inf.  Tick `tick` holds the next
-    arrivals.
+    channel holds no job and done is inf, unless _Engine._wake has set
+    done to the instant at which it looks for its next job.  The channel
+    has run every arrival before tick `tick`, and its round-robin resumes
+    at flow rr.
     """
 
     __slots__ = ("flows", "control", "rr", "job", "done", "tick")
@@ -394,21 +404,6 @@ class _Channel:
         self.job = None
         self.done = math.inf
         self.tick = 1
-
-    def pick(self) -> _Flow | None:
-        """The next connected flow with a packet waiting, round-robin."""
-        flows = self.flows
-        count = len(flows)
-        index = self.rr
-        for _ in range(count):
-            flow = flows[index]
-            index += 1
-            if index == count:
-                index = 0
-            if flow.connected and flow.queue:
-                self.rr = index
-                return flow
-        return None
 
 
 @dataclass(frozen=True)
@@ -450,8 +445,13 @@ class _Engine:
     coarser epochs; packet generation and channel service run on exact
     times.  execute walks the mobility steps and attack waves in time
     order.  Each cluster's channel serves one job at a time, a flow's
-    handshake or a data packet, and _drain runs its jobs and the CBR
-    arrivals up to every step and wave and to the end of the run.  All
+    handshake or a data packet, and _drain runs its job ends and CBR
+    arrivals.  A channel runs only when something it reads changes: up to
+    every step and wave while it holds a handshake, whose end reads that
+    step's positions and draws from the payload stream; up to the step
+    (_wake) before that step changes one of its flows' links or queues a
+    handshake; and to the end of the run.  In between it lags behind the
+    clock, and a flow's arrivals wait, uncounted, until it is served.  All
     randomness flows from per-subsystem child streams of the master seed,
     drawn in a fixed order, so equal seeds replay equal runs and mobility
     never depends on mode or traffic settings.
@@ -655,10 +655,14 @@ class _Engine:
         """Run the channel's job ends and arrivals due before `until`.
 
         When a job ends, the next starts at once: a queued handshake first,
-        else pick()'s data job.  An idle channel starts pick()'s data job
-        when a packet arrives, since no handshake waits at an idle channel
-        (_handle_mob starts it at once).  A tick's arrivals always run in
-        one pass.
+        else round-robin the next connected flow with a packet, queued or
+        pending.  An arrival matters only to an idle channel: no handshake
+        waits there and no connected flow holds a packet, so the tick's
+        first connected flow, in flow order, starts its packet.  A busy
+        channel, or one whose flows are all unconnected, only moves its
+        tick cursor, since nothing inside it can connect a flow.  All state
+        lives in the channel and its flows, so draining to T in one call or
+        in several leaves the same state.
         """
         gen_interval = self.gen_interval
         tick = channel.tick
@@ -666,41 +670,74 @@ class _Engine:
         if tick * gen_interval >= until and done >= until:
             return
         flows = channel.flows
+        count = len(flows)
         capacity = self.sc.queue_capacity
         data_time = self.data_time
-        pick = channel.pick
         control = channel.control
         job = channel.job
+        rr = channel.rr
+        at = tick * gen_interval  # the next arrival
         while True:
-            at = tick * gen_interval
-            if done <= at:
-                if done >= until:
-                    break
-                if job.__class__ is tuple:
+            if done < until:
+                while at < done:  # the job ends after that tick's arrivals
+                    tick += 1
+                    at = tick * gen_interval
+                if job.__class__ is _Flow:
+                    if job.tick < tick:
+                        job.take(tick, capacity)
+                    sent = job.queue.popleft()
+                    if job.reach:
+                        job.delivered += 1
+                        job.total_delay += done - sent * gen_interval
+                    else:
+                        job.dropped_range += 1
+                elif job is not None:
                     self._finish(job)
-                else:
-                    job.serve(done)
                 if control:
                     job = control.popleft()
                     done += job[0]
-                else:
-                    job = pick()
-                    done = math.inf if job is None else done + data_time
+                    continue
+                index = rr
+                while True:
+                    job = flows[index]
+                    index += 1
+                    if index == count:
+                        index = 0
+                    if job.connected and (job.queue or job.tick < tick):
+                        rr = index
+                        done += data_time
+                        break
+                    if index == rr:
+                        job = None
+                        done = math.inf
+                        break
                 continue
-            if at >= until:
+            if job is not None or at >= until:
                 break
-            for flow in flows:
-                queue = flow.queue
-                if len(queue) < capacity:
-                    queue.append(at)
-                    if job is None:
-                        job = pick()
-                        if job is not None:
-                            done = at + data_time
+            for index, flow in enumerate(flows, 1):
+                if flow.connected:
+                    job = flow
+                    rr = index % count
+                    done = at + data_time
+                    tick += 1
+                    at = tick * gen_interval
+                    break
+            else:
+                break
+        while at < until:
             tick += 1
+            at = tick * gen_interval
         channel.tick = tick
         channel.job = job
         channel.done = done
+        channel.rr = rr
+
+    def _wake(self, channel: _Channel) -> None:
+        """Bring the channel up to now before a mobility step changes what
+        it reads; an idle one then looks for its next job at now."""
+        self._drain(channel, self.now)
+        if channel.job is None:
+            channel.done = self.now
 
     def _finish(self, job) -> None:
         """A flow's handshake ends; a friendly verdict sets its link up."""
@@ -712,7 +749,6 @@ class _Engine:
 
     def _handle_mob(self, step_index: int) -> None:
         sc = self.sc
-        now = self.now
         epoch = step_index % self.epoch_every == 0
         if step_index > 0:  # step 0 only runs discovery on the placements
             verifying = epoch and self.unverified
@@ -723,25 +759,22 @@ class _Engine:
             distance = self._distance(flow.src, flow.dst)
             if flow.connected:
                 if distance > flow.selected_range:
+                    self._wake(self.channels[flow.cluster])
                     flow.connected = False
             elif epoch and not flow.handshaking:
                 self._try_connect(flow, distance)
-            flow.reach = distance <= flow.selected_range
+            reach = distance <= flow.selected_range
+            if reach != flow.reach:
+                self._wake(self.channels[flow.cluster])
+                flow.reach = reach
         if epoch and sc.neighbor_verification:
             self._verify_neighbors()
-        for channel in self.flowing:
-            if channel.job is None:  # start its next job: a queued handshake first
-                if channel.control:
-                    channel.job = channel.control.popleft()
-                    channel.done = now + channel.job[0]
-                elif (flow := channel.pick()) is not None:
-                    channel.job = flow
-                    channel.done = now + self.data_time
 
     def _try_connect(self, flow: _Flow, distance: float) -> None:
         sc = self.sc
         if sc.sfv_mode == "off":
             if distance <= self.max_range:
+                self._wake(self.channels[flow.cluster])
                 flow.selected_range = self.max_range
                 flow.connected = True
             return
@@ -751,8 +784,9 @@ class _Engine:
             return
         evidence = self._evidence(flow.src, flow.dst, distance, scan.selected_range)
         duration = sc.handshake_base_s + (scan.attempts - 1) * sc.handshake_attempt_extra_s
-        self.channels[flow.cluster].control.append(
-            (duration, flow, evidence, scan.selected_range))
+        channel = self.channels[flow.cluster]
+        self._wake(channel)
+        channel.control.append((duration, flow, evidence, scan.selected_range))
         flow.handshaking = True
 
     # Neighbor verification sweeps run off-channel: they tally verdicts
@@ -839,6 +873,9 @@ class _Engine:
 
         At one instant, an attack wave runs first, then the mobility step,
         then a channel job's end, then that tick's arrivals in flow order.
+        A channel that holds a handshake runs up to each instant before its
+        handler; at the end every channel runs out and its flows take their
+        pending packets.
         """
         duration = self.duration
         step_s = self.sc.mobility_step_s
@@ -846,10 +883,11 @@ class _Engine:
         step, wave = 0, 1
         while (now := min(step * step_s, wave * wave_s)) <= duration:
             self.now = now
-            # Every job end and arrival before this instant runs first: it sees
-            # the old links, and draws from the handshake stream before a wave.
+            # Handshake ends read this step's positions and draw from the
+            # payload stream, instant by instant and then in channel order.
             for channel in self.flowing:
-                self._drain(channel, now)
+                if channel.control or channel.job.__class__ is tuple:
+                    self._drain(channel, now)
             if wave * wave_s == now:
                 self._handle_atk()
                 wave += 1
@@ -859,6 +897,8 @@ class _Engine:
         end = math.nextafter(duration, math.inf)
         for channel in self.flowing:
             self._drain(channel, end)
+            for flow in channel.flows:
+                flow.take(channel.tick, self.sc.queue_capacity)
 
         sc = self.sc
         # Every flow saw every arrival; each one it queued is delivered,

@@ -1,4 +1,4 @@
-"""Golden bytes: the metrics CSV of nine short runs and of two two-point
+"""Golden bytes: the metrics CSV of ten short runs and of two two-point
 sweeps, three detection tables, and the transcripts of six seeded
 handshake sets and of one CLI handshake, pinned by sha256.
 
@@ -98,6 +98,20 @@ SLOW_CHANNEL_CFG = DESK_POINT_CFG + "channel_capacity_kbps = 150\n"
 # At 1000 kbps packet 2000 falls due at 8.192 s, the last instant of the run.
 LAST_INSTANT_CFG = DESK_POINT_CFG.replace("tx_rate_kbps = 600", "tx_rate_kbps = 1000")
 
+# Fast nodes on short ranges break links and set them up again all run
+# long, so channels run when a mobility step changes a link or queues a
+# handshake, not only at handshake ends.
+LINK_BREAK_CFG = """\
+clusters = 2
+nodes_per_cluster = 20
+cluster_width = 300
+cluster_height = 300
+flows_per_cluster = 4
+radio_ranges = 100, 150
+node_speed_min = 40
+queue_capacity = 5
+"""
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -143,6 +157,11 @@ GOLDEN = {
         LAST_INSTANT_CFG,
         ["--mode", "off", "--seed", "5", "--duration", "8.192"],
         "3c5df1f9191c3fa2d6fb97f081cde1e6dcdbd34899dd3d64b9e9075ec80e3e64",
+    ),
+    "link-break-ranging": (
+        LINK_BREAK_CFG,
+        ["--mode", "sfv-ranging", "--seed", "2", "--duration", "20"],
+        "6a6edaa67fdd94d6f823b12cb51a2ba61f8d0659b2d17575afd9fa377e88559d",
     ),
 }
 

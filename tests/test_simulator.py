@@ -356,6 +356,75 @@ def test_a_service_ending_at_a_tick_frees_its_slot_for_that_tick(seed):
     assert (m.generated, m.delivered, m.in_flight) == (2560, 2558, 2)
 
 
+def _data_plane_state(channel):
+    flows = channel.flows
+    return ([(list(f.queue), f.tick, f.delivered, f.dropped_range, f.total_delay, f.connected)
+             for f in flows],
+            (channel.tick, channel.done, channel.rr,
+             None if channel.job is None else flows.index(channel.job)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_channel_drained_in_pieces_ends_where_one_drain_ends(seed):
+    # A channel that holds no handshake runs only when woken, so draining
+    # it to T in one call must equal draining it in many, cut anywhere:
+    # at a tick's instant, at a job's end, or in between.  Three flows of
+    # 2^-8 s packets on a 2^-9 s service overload two-packet queues, and
+    # job ends tie ticks.
+    sc = Scenario(clusters=1, nodes_per_cluster=10, cluster_width=100.0,
+                  cluster_height=100.0, sfv_mode="off", flows_per_cluster=3,
+                  queue_capacity=2, tx_rate_kbps=1048.576,
+                  channel_capacity_kbps=2097.152, master_seed=seed)
+    end = 2.0
+    whole, pieces = simulator._Engine(sc, end), simulator._Engine(sc, end)
+    for engine in (whole, pieces):
+        engine._handle_mob(0)  # connects every flow and wakes the channel at 0
+    one, many = whole.channels[0], pieces.channels[0]
+    assert all(flow.connected for flow in many.flows)
+    whole._drain(one, end)
+    cuts = random.Random(seed)
+    used = set()
+    while True:
+        kind = cuts.choice(["tick", "job end", "between"])
+        arrival = many.tick * pieces.gen_interval
+        busy = many.job is not None
+        until = {"tick": arrival, "job end": many.done if busy else arrival,
+                 "between": min(many.done, arrival) + cuts.uniform(0.0, 0.02)}[kind]
+        if until >= end:
+            break
+        used.add(kind)
+        pieces._drain(many, until)
+    pieces._drain(many, end)
+    for channel in (one, many):
+        for flow in channel.flows:
+            flow.take(channel.tick, sc.queue_capacity)
+    assert _data_plane_state(many) == _data_plane_state(one)
+    assert used == {"tick", "job end", "between"}
+    # Ticks 1..511 fall before T = 2 s; two packets go out per tick, so
+    # the queues overflow.
+    assert one.tick == 512
+    kept = sum(flow.delivered + len(flow.queue) for flow in one.flows)
+    assert 0 < kept < 3 * 511
+
+
+def test_a_default_run_drains_its_channels_only_when_something_changes(monkeypatch):
+    # Only a channel that holds a handshake runs at every instant; the
+    # others run when a mobility step changes a link, and at the end.
+    calls = []
+    drain = simulator._Engine._drain
+
+    def counting(engine, channel, until):
+        calls.append(until)
+        drain(engine, channel, until)
+
+    monkeypatch.setattr(simulator._Engine, "_drain", counting)
+    engine = simulator._Engine(Scenario(), 60.0)
+    m = engine.execute()
+    steps = round(60.0 / engine.sc.mobility_step_s) + 1
+    assert m.handshakes > 0 and m.generated > 0
+    assert 10 * len(calls) <= steps * len(engine.flowing)
+
+
 def test_honest_pool_is_checked_once_and_shared(monkeypatch):
     # One check for the honest pool plus one per claiming attacker; honest
     # holders share its ID list but not its cursor.
