@@ -147,6 +147,15 @@ def _cmd_handshake(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an unsigned 64-bit integer.  random.Random seeds
+    from abs(n), so a negative seed would replay its positive twin."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64): {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfvsim",
@@ -156,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, duration_default=None):
         p.add_argument("--config", help="flat key = value scenario file")
-        p.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
+        p.add_argument("--seed", type=_seed, help="master seed (unsigned 64-bit)")
         p.add_argument("--out", help="write CSV here instead of stdout")
         p.add_argument("--mode", choices=SFV_MODES, help="verification mode")
         p.add_argument("--duration", type=float, default=duration_default,
@@ -185,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated verifier id counts")
     p_detect.add_argument("--attempts", type=int, default=10_000,
                           help="sampled replay attempts per id count")
-    p_detect.add_argument("--seed", type=int, default=1, help="seed of the sampled attempts")
+    p_detect.add_argument("--seed", type=_seed, default=1,
+                          help="seed of the sampled attempts (unsigned 64-bit)")
     p_detect.add_argument("--out")
     p_detect.set_defaults(func=_cmd_detect)
 
@@ -195,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_keys.set_defaults(func=_cmd_keyspace)
 
     p_hs = sub.add_parser("handshake", help="trace one handshake transcript")
-    p_hs.add_argument("--seed", type=int)
+    p_hs.add_argument("--seed", type=_seed, help="seed (unsigned 64-bit)")
     p_hs.add_argument("--out")
     p_hs.add_argument("--adversary", choices=("none", "sybil", "wormhole"),
                       default="none")

@@ -97,6 +97,8 @@ class Scenario:
                      "queue_capacity", "n_ids"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1: {getattr(self, name)}")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master_seed must lie in [0, 2**64): {self.master_seed}")
         if self.clusters * self.nodes_per_cluster > MAX_NODES:
             raise ValueError(f"clusters x nodes_per_cluster exceeds {MAX_NODES} nodes: "
                              f"{self.clusters} x {self.nodes_per_cluster}")
@@ -351,11 +353,20 @@ class _Flow:
     taking each on arrival would.  reach says whether a packet served now
     would find dst within selected_range (positions and ranges only change
     at mobility steps and handshake ends, which refresh it).
+
+    due is the first mobility step on which _Engine._handle_mob examines
+    the flow again.  An unconnected or handshaking flow stays due on every
+    step, so a flow that a handshake's end (or, in off mode, discovery)
+    connects is due on the next step.  A connected flow found at distance
+    d inside its range r holds for floor((r - d - round_off) / closing)
+    steps, since d can grow by at most closing per step (see _Engine), and
+    is due on the step after those; with motionless nodes it is never due
+    again.
     """
 
     __slots__ = (
         "src", "dst", "cluster", "queue", "tick", "dropped_range", "delivered",
-        "total_delay", "connected", "handshaking", "selected_range", "reach",
+        "total_delay", "connected", "handshaking", "selected_range", "reach", "due",
     )
 
     def __init__(self, src: int, dst: int, cluster: int):
@@ -371,6 +382,7 @@ class _Flow:
         self.handshaking = False
         self.selected_range = 0.0
         self.reach = False
+        self.due = 0
 
     def take(self, tick: int, capacity: int) -> None:
         """Queue the pending packets before `tick` that fit; drop the rest."""
@@ -459,10 +471,20 @@ class _Engine:
     Node positions live in the flat lists x and y of a RandomWaypoint,
     whose legs are closed-form and whose draws are per node, so a node's
     position is brought up to date only when a handler reads it: once per
-    mobility step (through step_mobility) for the flow endpoints, and for
-    every node at a neighbor-verification epoch with work left and at each
-    attack wave.  Every handler thus sees the positions of the last
-    mobility step that ran.
+    mobility step (through step_mobility) for the endpoints of the flows
+    due on that step, and for every node at a neighbor-verification epoch
+    with work left and at each attack wave.  Every node a handler reads
+    thus stands where the last mobility step that ran put it.
+
+    A link is checked only when it can change.  A node moves at most
+    speed * mobility_step_s per step, arrival steps included, and speed <=
+    node_speed_max, so a link's length changes by at most closing = 2 *
+    node_speed_max * mobility_step_s per step.  A connected flow therefore
+    skips the steps its slack to its range covers (_Flow.due); round_off,
+    2^-40 of the terrain's extent plus the largest range, absorbs the
+    rounding of the closed-form positions, of hypot and of the quotient,
+    a few ulps of the coordinates each.  The flows due on a step are
+    examined in flow order.
 
     Credentials are held once.  profiles holds each node's one NodeProfile,
     built at placement (None for a replay attacker, which presents none);
@@ -498,6 +520,11 @@ class _Engine:
         self.scan_plan = ScanPlan(scenario.radio_ranges, ranging=scenario.sfv_mode == "sfv-ranging")
         self.data_time = scenario.packet_bits / (scenario.channel_capacity_kbps * 1000.0)
         self.epoch_every = max(1, round(scenario.discovery_interval_s / scenario.mobility_step_s))
+        # The most a link's length changes in one step, and the slack that
+        # absorbs rounding at the coordinates' magnitude (see the docstring).
+        self.closing = 2.0 * scenario.node_speed_max * scenario.mobility_step_s
+        self.round_off = 2.0 ** -40 * (
+            max(scenario.terrain_width, scenario.terrain_height) + self.max_range)
         # wormhole_perturb reads only the latency, so all attackers share one.
         self.tunnel = WormholeTunnel("wormhole-mouth", "wormhole-far", scenario.tunnel_latency_s)
 
@@ -591,8 +618,6 @@ class _Engine:
                 flow = _Flow(src, dst, c)
                 self.flows.append(flow)
                 cluster_flows[c].append(flow)
-        self.endpoints = sorted({flow.src for flow in self.flows}
-                                | {flow.dst for flow in self.flows})
         self.channels = [_Channel(flows) for flows in cluster_flows]
         # Only a channel with flows ever holds a job or an arrival.
         self.flowing = [channel for channel in self.channels if channel.flows]
@@ -750,17 +775,26 @@ class _Engine:
     def _handle_mob(self, step_index: int) -> None:
         sc = self.sc
         epoch = step_index % self.epoch_every == 0
+        due = [flow for flow in self.flows if flow.due <= step_index]
         if step_index > 0:  # step 0 only runs discovery on the placements
-            verifying = epoch and self.unverified
-            step_mobility(self.walk, self.every_node if verifying else self.endpoints,
-                          step_index)
+            if epoch and self.unverified:
+                nodes = self.every_node
+            else:
+                nodes = [node for flow in due for node in (flow.src, flow.dst)]
+            step_mobility(self.walk, nodes, step_index)
         self.mob_step = step_index
-        for flow in self.flows:
+        for flow in due:
             distance = self._distance(flow.src, flow.dst)
             if flow.connected:
                 if distance > flow.selected_range:
                     self._wake(self.channels[flow.cluster])
                     flow.connected = False
+                elif self.closing:
+                    # The link holds for as many steps as its slack covers.
+                    flow.due = step_index + 1 + (
+                        flow.selected_range - distance - self.round_off) // self.closing
+                else:
+                    flow.due = math.inf
             elif epoch and not flow.handshaking:
                 self._try_connect(flow, distance)
             reach = distance <= flow.selected_range

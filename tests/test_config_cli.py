@@ -309,10 +309,13 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "duration_s = 1e9\n",
     "n_ids = 100000000\n",
     "n_ids = 1048576\nattacker_fraction = 0.05\n",
+    "master_seed = -7\n",
+    "master_seed = 18446744073709551616\n",
 ], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell",
         "clusters-overflow", "nodes-beyond-cap", "step-subnormal", "step-beyond-cap",
         "pause-beyond-cap", "ticks-beyond-cap", "attack-waves-beyond-cap",
-        "duration-beyond-cap", "ids-beyond-cap", "attacker-ids-beyond-cap"])
+        "duration-beyond-cap", "ids-beyond-cap", "attacker-ids-beyond-cap",
+        "seed-negative", "seed-beyond-64-bits"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
                                                             no_simulation, capsys):
     cfg = tmp_path / "s.cfg"
@@ -355,6 +358,44 @@ def test_cli_sweep_refuses_a_bad_point_before_any_runs(no_simulation, capsys):
     captured = capsys.readouterr()
     assert "tx_rate_kbps" in captured.err
     assert captured.out == ""
+
+
+# random.Random seeds from abs(n), so a negative seed would replay its
+# positive twin; every --seed is an unsigned 64-bit integer.
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-7"],
+    ["run", "--seed", str(2 ** 64)],
+    ["sweep", "--variable", "tx_rate", "--values", "200", "--seed", "-1"],
+    ["handshake", "--seed", "-1"],
+    ["detect", "--seed", "-1"],
+], ids=["run-negative", "run-beyond-64-bits", "sweep-negative", "handshake-negative",
+        "detect-negative"])
+def test_cli_seed_outside_unsigned_64_bits_exits_2_before_any_work(argv, no_simulation,
+                                                                  monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(analytics, "sample_detection", refuse)
+    monkeypatch.setattr("sfvsim.cli.run_handshake", refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_sweep_refuses_repetitions_that_pass_the_last_seed(no_simulation, capsys):
+    assert main(["sweep", "--variable", "tx_rate", "--values", "200",
+                 "--seed", str(2 ** 64 - 1), "--repetitions", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "master_seed" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_run_takes_the_largest_seed(capsys):
+    assert main(["run", "--seed", str(2 ** 64 - 1), "--duration", "0.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == str(2 ** 64 - 1)
 
 
 def test_cli_sweep_repeat_invocations_byte_identical(tmp_path):

@@ -1,4 +1,4 @@
-"""Golden bytes: the metrics CSV of ten short runs and of two two-point
+"""Golden bytes: the metrics CSV of eleven short runs and of two two-point
 sweeps, three detection tables, and the transcripts of six seeded
 handshake sets and of one CLI handshake, pinned by sha256.
 
@@ -112,6 +112,16 @@ node_speed_min = 40
 queue_capacity = 5
 """
 
+# Two clusters some 1e9 m from the origin, where a coordinate's ulp is
+# 1e-7 m: fast nodes break short links over a slow channel, so links held
+# between checks must absorb the rounding of positions at that magnitude.
+FAR_CFG = LINK_BREAK_CFG + """\
+terrain_width = 2000000000
+terrain_height = 2000000000
+node_speed_max = 100
+channel_capacity_kbps = 150
+"""
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -162,6 +172,11 @@ GOLDEN = {
         LINK_BREAK_CFG,
         ["--mode", "sfv-ranging", "--seed", "2", "--duration", "20"],
         "6a6edaa67fdd94d6f823b12cb51a2ba61f8d0659b2d17575afd9fa377e88559d",
+    ),
+    "far-from-origin-ranging": (
+        FAR_CFG,
+        ["--mode", "sfv-ranging", "--seed", "3", "--duration", "20"],
+        "be72b2d27ed689a4ce229b288d1f28417adccaac8557b2f995a8dbb846b02a49",
     ),
 }
 

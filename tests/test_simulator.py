@@ -209,30 +209,123 @@ def test_packet_conservation_is_exact(kw):
     assert m.generated == m.delivered + m.dropped_queue + m.dropped_range + m.in_flight
 
 
-def test_engine_steps_mobility_once_per_step_and_only_endpoints_between_epochs(monkeypatch):
-    calls = []
+def test_engine_advances_every_node_at_epochs_and_only_due_endpoints_between(monkeypatch):
+    # While verification has work, an epoch brings every node up to date;
+    # on every other step only the endpoints of the flows due then move.  A
+    # connected flow found with slack to its range skips exactly the steps
+    # that slack covers, and its link holds on each of them.
+    moved, examined = [], []
+    handle_mob = simulator._Engine._handle_mob
 
     def counting(walk, nodes, step):
-        calls.append((step, list(nodes)))
+        moved.append((step, list(nodes)))
         step_mobility(walk, nodes, step)
 
+    def mob(engine, step):
+        due = [i for i, flow in enumerate(engine.flows) if flow.due <= step]
+        handle_mob(engine, step)
+        examined.append((due, [(f.connected, f.due, f.selected_range) for f in engine.flows]))
+
     monkeypatch.setattr(simulator, "step_mobility", counting)
+    monkeypatch.setattr(simulator._Engine, "_handle_mob", mob)
     sc = desk(seed=4, neighbor_verification=True)
     duration = 8.0  # verification runs out of pairs before the end
     engine = simulator._Engine(sc, duration)
     engine.execute()
     steps = round(duration / sc.mobility_step_s)
-    assert [step for step, _ in calls] == list(range(1, steps + 1))
-    endpoints = sorted({f.src for f in engine.flows} | {f.dst for f in engine.flows})
+    assert [step for step, _ in moved] == list(range(1, steps + 1))
     everyone = list(range(sc.clusters * sc.nodes_per_cluster))
-    assert len(endpoints) < len(everyone)
-    # Every node at an epoch while verification has work left, then only
-    # the flow endpoints.
-    at_epochs = [nodes for step, nodes in calls if step % engine.epoch_every == 0]
+    flows = engine.flows
+    at_epochs = [nodes for step, nodes in moved if step % engine.epoch_every == 0]
     working = at_epochs.count(everyone)
     assert 0 < working < len(at_epochs)
-    assert at_epochs == [everyone] * working + [endpoints] * (len(at_epochs) - working)
-    assert all(nodes == endpoints for step, nodes in calls if step % engine.epoch_every)
+    assert at_epochs[:working] == [everyone] * working
+    for step, nodes in moved:
+        if nodes != everyone:
+            due = examined[step][0]
+            assert nodes == [node for i in due for node in (flows[i].src, flows[i].dst)]
+
+    fresh = simulator._Engine(sc, duration)
+    distance = []
+    for step in range(steps + 1):
+        fresh.walk.advance(fresh.every_node, step)
+        distance.append([fresh._distance(flow.src, flow.dst) for flow in flows])
+    holds = []
+    for step, (due, states) in enumerate(examined):
+        for i in due:
+            connected, next_due, selected = states[i]
+            if connected and next_due > step + 1:
+                hold = range(step + 1, int(min(next_due, steps + 1)))
+                slack = selected - distance[step][i] - engine.round_off
+                assert next_due - step - 1 == slack // engine.closing
+                assert all(i not in examined[t][0] for t in hold)
+                assert all(distance[t][i] <= selected for t in hold)
+                holds.append(len(hold))
+    assert max(holds) >= 20
+    assert sum(holds) > steps * len(flows) // 2
+
+
+# Fast nodes on short ranges over a slow channel: links break and form all
+# run long, data jobs outlast a mobility step, and handshakes queue.
+BREAKING = dict(cluster_width=300.0, cluster_height=300.0, flows_per_cluster=4,
+                queue_capacity=5, radio_ranges=(100.0, 150.0), node_speed_min=40.0,
+                node_speed_max=100.0, channel_capacity_kbps=150.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kw", [
+    dict(sfv_mode="off"),
+    dict(sfv_mode="sfv", pause_s=0.4),
+    dict(sfv_mode="sfv-ranging", attacker_fraction=0.1, attacker_kind="mixed",
+         neighbor_verification=True),
+    dict(sfv_mode="sfv", node_speed_min=0.0, node_speed_max=0.0),
+    dict(sfv_mode="sfv-ranging", node_speed_min=0.0, pause_s=0.1,
+         terrain_width=2e9, terrain_height=2e9),
+], ids=["off", "paused-sfv", "attacked-ranging", "motionless", "far-ranging"])
+def test_kinetic_checks_match_checking_every_flow_on_every_step(kw, seed):
+    # An infinite closing bound leaves no link any slack, so every flow is
+    # due on every step; the kinetic run must produce the same metrics
+    # from fewer link checks.
+    results, checks = [], []
+    for closing in (None, math.inf):
+        engine = simulator._Engine(desk(seed=seed, **{**BREAKING, **kw}), 10.0)
+        if closing is not None:
+            engine.closing = closing
+        count = [0]
+        measure = engine._distance
+
+        def counting(a, b):
+            count[0] += 1
+            return measure(a, b)
+
+        engine._distance = counting
+        results.append(engine.execute())
+        checks.append(count[0])
+    kinetic, every = results
+    assert kinetic == every
+    assert kinetic.delivered > 0
+    assert checks[0] < checks[1]
+
+
+def test_the_hold_absorbs_rounding_far_from_the_origin():
+    # Near 1.5e11 m a coordinate's ulp is 3e-5 m.  Nodes running along a
+    # thin strip at the top speed stretch a link by closing per step plus
+    # that rounding, more than a fixed 1e-6 m would cover; round_off covers
+    # it with room to spare.
+    sc = Scenario(terrain_width=3e11, terrain_height=3e11, clusters=1, cluster_width=300.0,
+                  cluster_height=1e-6, nodes_per_cluster=8, node_speed_min=47.3,
+                  node_speed_max=47.3, mobility_step_s=0.0273)
+    engine = simulator._Engine(sc, 10.0)
+    nodes = engine.every_node
+    pairs = [(a, b) for a in nodes for b in nodes if a < b]
+    distance = []
+    for step in range(300):
+        engine.walk.advance(nodes, step)
+        distance.append([engine._distance(a, b) for a, b in pairs])
+    worst = max(distance[t][k] - distance[s][k] - (t - s) * engine.closing
+                for s in range(300) for t in range(s + 1, min(300, s + 20))
+                for k in range(len(pairs)))
+    assert 1e-6 < worst < engine.round_off / 1000
 
 
 def test_positions_do_not_depend_on_mode_verification_or_attackers():
@@ -425,6 +518,24 @@ def test_a_default_run_drains_its_channels_only_when_something_changes(monkeypat
     assert 10 * len(calls) <= steps * len(engine.flowing)
 
 
+def test_a_default_run_checks_its_links_only_when_they_can_change(monkeypatch):
+    # A 270 m range over 300 m clusters leaves most links tens of steps of
+    # slack, so far fewer link checks than steps x flows.
+    checks = []
+    measure = simulator._Engine._distance
+
+    def counting(engine, a, b):
+        checks.append(engine.mob_step)
+        return measure(engine, a, b)
+
+    monkeypatch.setattr(simulator._Engine, "_distance", counting)
+    engine = simulator._Engine(replace(Scenario(), master_seed=7), 60.0)
+    m = engine.execute()
+    steps = round(60.0 / engine.sc.mobility_step_s) + 1
+    assert m.handshakes > 0 and m.generated > 0
+    assert 10 * len(checks) <= steps * len(engine.flows)
+
+
 def test_honest_pool_is_checked_once_and_shared(monkeypatch):
     # One check for the honest pool plus one per claiming attacker; honest
     # holders share its ID list but not its cursor.
@@ -499,6 +610,8 @@ def test_throughput_never_exceeds_offered_load():
     dict(clusters=1000, nodes_per_cluster=101),  # 101,000 nodes, cap 100,000
     dict(mobility_step_s=1e-320),  # discovery epochs of infinitely many steps
     dict(pause_s=1e7),  # a pause of 4e8 steps, cap 1e8
+    dict(master_seed=-1),  # random.Random would seed from abs(-1)
+    dict(master_seed=2 ** 64),
 ])
 def test_invalid_scenarios_rejected(kw):
     if "attacker_kind" in kw:
