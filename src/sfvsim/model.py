@@ -175,11 +175,11 @@ class RangingEvidence:
 class NodeProfile:
     """A node's identity, position, velocity and credential pool.
 
-    The simulator builds one per node at placement, standing still there,
-    and hands it to every attack check the node takes part in, so its
-    pool's cursor keeps advancing across handshakes.  Honest links share
-    one lockstep pair of profiles instead.  A handshake reads only the
-    pools.
+    The simulator builds an attacker's at placement and an honest node's
+    on its first attack check, and hands it to every attack check the node
+    takes part in, so its pool's cursor keeps advancing across handshakes.
+    Honest links share one lockstep pair of profiles instead.  A handshake
+    reads only the pools.
     """
 
     node_id: str

@@ -10,6 +10,7 @@ keystream and fail the checksums with overwhelming probability.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
@@ -83,6 +84,12 @@ class TranscriptEvent:
     outcome: str
 
 
+@functools.cache
+def _friendly(m_blocks: int) -> Verdict:
+    """The verdict every friendly handshake of m_blocks shares; it is frozen."""
+    return Verdict((), m_blocks, m_blocks)
+
+
 def transcript_lines(events: list[TranscriptEvent]) -> list[str]:
     """Render a transcript as 'phase,event,block_index,outcome' lines."""
     return [
@@ -152,20 +159,20 @@ def run_handshake(
     blocks_verified = _exchange((*sender, initiator_id), (*receiver, responder_id),
                                 cfg.m_blocks, rng)
 
-    reasons: tuple[str, ...] = ()
+    verdict = _friendly(cfg.m_blocks)
     if blocks_verified < cfg.m_blocks:
         reasons = (f"checksum-block-{blocks_verified + 1}",)
         # Omniscient diagnosis for the harness: name the forged ID as the
         # cause when the endpoint credentials actually differ.
         if initiator_id != responder_id:
             reasons += (REASON_ID_MISMATCH,)
-    verdict = Verdict(reasons, blocks_verified, cfg.m_blocks)
+        verdict = Verdict(reasons, blocks_verified, cfg.m_blocks)
     if log is not None:
         log.append(TranscriptEvent("setup", "initiator-seeds", None, _seed_digest(*sender)))
         log.append(TranscriptEvent("setup", "responder-seeds", None, _seed_digest(*receiver)))
         for index in range(1, blocks_verified + 1):
             log.append(TranscriptEvent("exchange", "block", index, "accepted"))
-        if reasons:
+        if verdict.reasons:
             log.append(TranscriptEvent("exchange", "block", blocks_verified + 1, "rejected"))
         log.append(TranscriptEvent("verdict", "final", None, verdict.outcome))
     return verdict

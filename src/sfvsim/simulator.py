@@ -460,13 +460,15 @@ class _Engine:
     handshake or a data packet, and _drain runs its job ends and CBR
     arrivals.  A channel runs only when something it reads changes: up to
     every step and wave while it holds a handshake, whose end reads that
-    step's positions and draws from the payload stream; up to the step
-    (_wake) before that step changes one of its flows' links or queues a
-    handshake; and to the end of the run.  In between it lags behind the
-    clock, and a flow's arrivals wait, uncounted, until it is served.  All
-    randomness flows from per-subsystem child streams of the master seed,
-    drawn in a fixed order, so equal seeds replay equal runs and mobility
-    never depends on mode or traffic settings.
+    step's positions and draws from the payload stream (execute looks at
+    the channels only while open_handshakes, those queued or in service,
+    is positive); up to the step (_wake) before that step changes one of
+    its flows' links or queues a handshake; and to the end of the run.  In
+    between it lags behind the clock, and a flow's arrivals wait,
+    uncounted, until it is served.  All randomness flows from
+    per-subsystem child streams of the master seed, drawn in a fixed
+    order, so equal seeds replay equal runs and mobility never depends on
+    mode or traffic settings.
 
     Node positions live in the flat lists x and y of a RandomWaypoint,
     whose legs are closed-form and whose draws are per node, so a node's
@@ -483,15 +485,15 @@ class _Engine:
     skips the steps its slack to its range covers (_Flow.due); round_off,
     2^-40 of the terrain's extent plus the largest range, absorbs the
     rounding of the closed-form positions, of hypot and of the quotient,
-    a few ulps of the coordinates each.  The flows due on a step are
-    examined in flow order.
+    a few ulps of the coordinates each.  calendar files each flow under
+    the next step it is due on; that step examines its flows in flow order.
 
-    Credentials are held once.  profiles holds each node's one NodeProfile,
-    built at placement (None for a replay attacker, which presents none);
-    an attack check hands the victim's and attacker's to the handshake.
-    Every honest link's handshake runs on honest_pair, whose two pools
-    advance in lockstep.  attacker_kinds maps each attacker, in index
-    order, to its kind; all wormholes share one tunnel, so none is paired.
+    Credentials are held once.  profiles holds each node's one NodeProfile
+    (None for a replay attacker, which presents none), an honest node's
+    built by _profile on the first attack check that hands it to a
+    handshake.  Every honest link's handshake runs on honest_pair, whose
+    two pools advance in lockstep.  attacker_kinds maps each attacker, in
+    index order, to its kind; all wormholes share one tunnel.
 
     One link check serves neighbor-verification sweeps and attack waves
     alike: _nearest picks the candidate, _verify scans the link and runs
@@ -512,6 +514,7 @@ class _Engine:
         self.now = 0.0
         self.mob_step = 0  # the last mobility step that ran
         self.handshakes = 0
+        self.open_handshakes = 0  # queued or in service
         self.scan_attempts = 0
         self.attack_attempts = 0
         self.attacks_detected = 0
@@ -551,7 +554,7 @@ class _Engine:
         self.honest_ids = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
         # The honest pool is checked once; every holder gets a shallow copy,
         # which shares its ID list and keeps its own cursor.
-        honest_pool = IdPool(self.honest_ids)
+        honest_pool = self.honest_pool = IdPool(self.honest_ids)
         # Both ends of an honest link start from identical pools and advance
         # them together, so they always present the same ID; with equal IDs
         # on equal evidence every block verifies whatever the ID, so one
@@ -559,10 +562,10 @@ class _Engine:
         self.honest_pair = tuple(
             NodeProfile(end, (0.0, 0.0), (0.0, 0.0), "honest", copy.copy(honest_pool))
             for end in ("initiator", "responder"))
-        # Each node's one profile stands still on its placement, as every
-        # node does on step 0.  A replay attacker presents no credentials,
-        # so it draws no IDs and holds no profile.
-        self.profiles: list[NodeProfile | None] = []
+        # An attacker's profile stands on its placement, as every node does
+        # on step 0.  A replay attacker presents no credentials, so it draws
+        # no IDs and holds no profile.
+        self.profiles: list[NodeProfile | None] = [None] * count
         # Attacker index -> kind, in index order; mixed alternates sybil,
         # wormhole in that order.
         self.attacker_kinds: dict[int, str] = {}
@@ -573,26 +576,24 @@ class _Engine:
             attacker_slots = set(
                 self.layout_rng.sample(range(sc.nodes_per_cluster), per_cluster_attackers))
             for i in range(sc.nodes_per_cluster):
-                index = len(self.profiles)
-                node_id = f"c{c}-n{i}"
+                index = c * sc.nodes_per_cluster + i
                 if i not in attacker_slots:
                     self.honest_by_cluster[c].append(index)
-                    role, pool = "honest", copy.copy(honest_pool)
+                    continue
+                kind = sc.attacker_kind
+                if kind == "mixed":
+                    kind = ("sybil", "wormhole")[len(self.attacker_kinds) % 2]
+                self.attacker_kinds[index] = kind
+                if kind == "replay":
+                    continue
+                node_id = f"c{c}-n{i}"
+                claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
+                if kind == "sybil":
+                    role, pool = "sybil", SybilIdentitySet(claimed, victim=node_id)
                 else:
-                    kind = sc.attacker_kind
-                    if kind == "mixed":
-                        kind = ("sybil", "wormhole")[len(self.attacker_kinds) % 2]
-                    self.attacker_kinds[index] = kind
-                    if kind == "replay":
-                        self.profiles.append(None)
-                        continue
-                    claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
-                    if kind == "sybil":
-                        role, pool = "sybil", SybilIdentitySet(claimed, victim=node_id)
-                    else:
-                        role, pool = "wormhole-endpoint", IdPool(claimed)
-                self.profiles.append(NodeProfile(node_id, (x[index], y[index]), (0.0, 0.0),
-                                                 role, pool))
+                    role, pool = "wormhole-endpoint", IdPool(claimed)
+                self.profiles[index] = NodeProfile(node_id, (x[index], y[index]), (0.0, 0.0),
+                                                   role, pool)
 
         # Each honest verifier's not yet verified in-cluster peers in scan
         # order: honest peers, then attackers, each in index order.  A pair
@@ -619,6 +620,8 @@ class _Engine:
                 self.flows.append(flow)
                 cluster_flows[c].append(flow)
         self.channels = [_Channel(flows) for flows in cluster_flows]
+        # The indices of the flows due on a step, by step (see _Flow.due).
+        self.calendar: dict[float, list[int]] = {0: list(range(len(self.flows)))}
         # Only a channel with flows ever holds a job or an arrival.
         self.flowing = [channel for channel in self.channels if channel.flows]
         # Every flow's packet k arrives at k * gen_interval, for k = 1..last_tick;
@@ -662,6 +665,14 @@ class _Engine:
             rtt_noise=rtt_noise,
         )
 
+    def _profile(self, index: int) -> NodeProfile:
+        """The node's NodeProfile; an honest node's is built on its first attack check."""
+        if self.profiles[index] is None:
+            cluster, i = divmod(index, self.sc.nodes_per_cluster)
+            self.profiles[index] = NodeProfile(f"c{cluster}-n{i}", (self.x[index], self.y[index]),
+                                               (0.0, 0.0), "honest", copy.copy(self.honest_pool))
+        return self.profiles[index]
+
     def _record_verdict(self, node_index: int, friendly: bool) -> None:
         if self.verdict[node_index] is not False:
             self.verdict[node_index] = friendly
@@ -681,13 +692,16 @@ class _Engine:
 
         When a job ends, the next starts at once: a queued handshake first,
         else round-robin the next connected flow with a packet, queued or
-        pending.  An arrival matters only to an idle channel: no handshake
-        waits there and no connected flow holds a packet, so the tick's
-        first connected flow, in flow order, starts its packet.  A busy
-        channel, or one whose flows are all unconnected, only moves its
-        tick cursor, since nothing inside it can connect a flow.  All state
-        lives in the channel and its flows, so draining to T in one call or
-        in several leaves the same state.
+        pending.  An arrival matters only to an idle channel, where the
+        tick's first connected flow, in flow order, starts its packet; a
+        busy channel, or one with no connected flow, only moves its tick
+        cursor.  Draining to T in one call or in several leaves the same
+        state, which lives in the channel and its flows.
+
+        The job in service ends first, then the queued handshakes run.  No
+        call queues a handshake and only a handshake's end connects a flow,
+        so then the connected flows stay fixed and one loop serves the data
+        packets, with no per-packet test of control or of a job's kind.
         """
         gen_interval = self.gen_interval
         tick = channel.tick
@@ -696,59 +710,75 @@ class _Engine:
             return
         flows = channel.flows
         count = len(flows)
+        ring = flows * 2  # the scan from rr reads flows[rr:], then flows[:rr]
         capacity = self.sc.queue_capacity
         data_time = self.data_time
         control = channel.control
         job = channel.job
         rr = channel.rr
         at = tick * gen_interval  # the next arrival
+        ending = done < math.inf  # the job in service, or a wake-up, ends first
+        scan = 0  # flows the round-robin examines: none until the handshakes ran
         while True:
-            if done < until:
-                while at < done:  # the job ends after that tick's arrivals
-                    tick += 1
-                    at = tick * gen_interval
-                if job.__class__ is _Flow:
-                    if job.tick < tick:
-                        job.take(tick, capacity)
-                    sent = job.queue.popleft()
-                    if job.reach:
-                        job.delivered += 1
-                        job.total_delay += done - sent * gen_interval
-                    else:
-                        job.dropped_range += 1
-                elif job is not None:
-                    self._finish(job)
-                if control:
+            index = rr
+            stop = rr + scan
+            while index < stop:
+                job = ring[index]
+                index += 1
+                if job.connected and (job.queue or job.tick < tick):
+                    rr = index % count
+                    done += data_time
+                    break
+            else:
+                if ending:
+                    ending = False
+                    if done >= until:
+                        break
+                    scan = 0 if control else count
+                    if job.__class__ is not _Flow:  # else its packet is served below
+                        while at < done:  # a handshake ends, or the channel wakes
+                            tick += 1
+                            at = tick * gen_interval
+                        if job is not None:
+                            self._finish(job)
+                        continue
+                elif control:
                     job = control.popleft()
                     done += job[0]
+                    ending = True
                     continue
-                index = rr
-                while True:
-                    job = flows[index]
-                    index += 1
-                    if index == count:
-                        index = 0
-                    if job.connected and (job.queue or job.tick < tick):
-                        rr = index
-                        done += data_time
-                        break
-                    if index == rr:
+                else:  # idle: an arrival before until starts the first connected flow
+                    for index, job in enumerate(flows, 1):
+                        if job.connected and at < until:
+                            break
+                    else:
                         job = None
                         done = math.inf
                         break
-                continue
-            if job is not None or at >= until:
-                break
-            for index, flow in enumerate(flows, 1):
-                if flow.connected:
-                    job = flow
                     rr = index % count
+                    scan = count
                     done = at + data_time
                     tick += 1
                     at = tick * gen_interval
-                    break
-            else:
+            if done >= until:
                 break
+            while at < done:  # the job ends after that tick's arrivals
+                tick += 1
+                at = tick * gen_interval
+            queue = job.queue
+            first = job.tick
+            if first < tick:
+                last = first + capacity - len(queue)
+                while first < tick and first < last:
+                    queue.append(first)
+                    first += 1
+                job.tick = tick
+            sent = queue.popleft()
+            if job.reach:
+                job.delivered += 1
+                job.total_delay += done - sent * gen_interval
+            else:
+                job.dropped_range += 1
         while at < until:
             tick += 1
             at = tick * gen_interval
@@ -768,40 +798,41 @@ class _Engine:
         """A flow's handshake ends; a friendly verdict sets its link up."""
         _, flow, evidence, selected = job
         flow.handshaking = False
+        self.open_handshakes -= 1
         if self._handshake(flow.dst, evidence):
             flow.selected_range = selected
             flow.connected = flow.reach = self._distance(flow.src, flow.dst) <= selected
 
     def _handle_mob(self, step_index: int) -> None:
-        sc = self.sc
+        flows = self.flows
         epoch = step_index % self.epoch_every == 0
-        due = [flow for flow in self.flows if flow.due <= step_index]
+        due = sorted(self.calendar.pop(step_index, ()))  # in flow order
         if step_index > 0:  # step 0 only runs discovery on the placements
             if epoch and self.unverified:
                 nodes = self.every_node
             else:
-                nodes = [node for flow in due for node in (flow.src, flow.dst)]
+                nodes = [node for i in due for node in (flows[i].src, flows[i].dst)]
             step_mobility(self.walk, nodes, step_index)
         self.mob_step = step_index
-        for flow in due:
+        for i in due:
+            flow = flows[i]
             distance = self._distance(flow.src, flow.dst)
             if flow.connected:
                 if distance > flow.selected_range:
                     self._wake(self.channels[flow.cluster])
                     flow.connected = False
-                elif self.closing:
-                    # The link holds for as many steps as its slack covers.
+                else:  # the link holds for as many steps as its slack covers
+                    slack = flow.selected_range - distance - self.round_off
                     flow.due = step_index + 1 + (
-                        flow.selected_range - distance - self.round_off) // self.closing
-                else:
-                    flow.due = math.inf
+                        slack // self.closing if self.closing else math.inf)
             elif epoch and not flow.handshaking:
                 self._try_connect(flow, distance)
             reach = distance <= flow.selected_range
             if reach != flow.reach:
                 self._wake(self.channels[flow.cluster])
                 flow.reach = reach
-        if epoch and sc.neighbor_verification:
+            self.calendar.setdefault(max(flow.due, step_index + 1), []).append(i)
+        if epoch and self.sc.neighbor_verification:
             self._verify_neighbors()
 
     def _try_connect(self, flow: _Flow, distance: float) -> None:
@@ -822,6 +853,7 @@ class _Engine:
         self._wake(channel)
         channel.control.append((duration, flow, evidence, scan.selected_range))
         flow.handshaking = True
+        self.open_handshakes += 1
 
     # Neighbor verification sweeps run off-channel: they tally verdicts
     # for coverage maps without competing with data traffic.  Each verifier,
@@ -890,11 +922,11 @@ class _Engine:
                 return self._handshake(target, evidence)
             if kind == "wormhole":
                 friendly = run_handshake(
-                    self.profiles[verifier], self.profiles[target],
+                    self._profile(verifier), self.profiles[target],
                     wormhole_perturb(evidence, self.tunnel, self._bearing(verifier, target)),
                     sc.handshake, self.payload_rng).friendly
             else:  # sybil
-                friendly = sybil_attempt(self.profiles[target].pool, self.profiles[verifier],
+                friendly = sybil_attempt(self.profiles[target].pool, self._profile(verifier),
                                          evidence, sc.handshake, self.payload_rng).friendly
         self._record_verdict(target, friendly)
         return friendly
@@ -919,9 +951,10 @@ class _Engine:
             self.now = now
             # Handshake ends read this step's positions and draw from the
             # payload stream, instant by instant and then in channel order.
-            for channel in self.flowing:
-                if channel.control or channel.job.__class__ is tuple:
-                    self._drain(channel, now)
+            if self.open_handshakes:
+                for channel in self.flowing:
+                    if channel.control or channel.job.__class__ is tuple:
+                        self._drain(channel, now)
             if wave * wave_s == now:
                 self._handle_atk()
                 wave += 1

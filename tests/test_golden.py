@@ -1,4 +1,4 @@
-"""Golden bytes: the metrics CSV of eleven short runs and of two two-point
+"""Golden bytes: the metrics CSV of twelve short runs and of two two-point
 sweeps, three detection tables, and the transcripts of six seeded
 handshake sets and of one CLI handshake, pinned by sha256.
 
@@ -122,6 +122,23 @@ node_speed_max = 100
 channel_capacity_kbps = 150
 """
 
+# One busy cluster: four flows of 2^-8 s packets on a 2^-9 s service
+# overload one-packet queues, so service ends tie arrivals exactly, and
+# fast nodes on short ranges break links and queue handshakes while a data
+# packet is in service.
+BUSY_CFG = """\
+clusters = 1
+nodes_per_cluster = 10
+cluster_width = 200
+cluster_height = 200
+flows_per_cluster = 4
+queue_capacity = 1
+radio_ranges = 60, 90
+node_speed_min = 40
+tx_rate_kbps = 1048.576
+channel_capacity_kbps = 2097.152
+"""
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -177,6 +194,11 @@ GOLDEN = {
         FAR_CFG,
         ["--mode", "sfv-ranging", "--seed", "3", "--duration", "20"],
         "be72b2d27ed689a4ce229b288d1f28417adccaac8557b2f995a8dbb846b02a49",
+    ),
+    "busy-channel-ranging": (
+        BUSY_CFG,
+        ["--mode", "sfv-ranging", "--seed", "2", "--duration", "20"],
+        "1515fb3bf843b51be5f9e7a8519e76f5677d6cb98e80b4ae678fc92fc4005ad3",
     ),
 }
 

@@ -64,6 +64,23 @@ def test_friendly_handshake():
     assert verdict.blocks_verified == verdict.m_blocks == 4
 
 
+def test_friendly_handshakes_share_one_verdict_per_block_count():
+    # A friendly verdict is frozen and equal for every handshake of m
+    # blocks, so run_handshake hands out one object per m; a suspicious
+    # outcome still builds its own, with its reasons.
+    a, b = friendly_pair()
+    rng = random.Random(3)
+    first = run_handshake(a, b, GOOD, rng=rng)
+    second = run_handshake(a, b, evidence_for_link(40.0, 200.0, 230.0), rng=rng)
+    assert first is second and first == Verdict((), 4, 4)
+    two = run_handshake(a, b, GOOD, HandshakeConfig(m_blocks=2), rng)
+    assert two is not first and two == Verdict((), 2, 2)
+    imp = make_node("imp", (1 << 20,), role="sybil")
+    suspicious = run_handshake(a, imp, GOOD, rng=rng)
+    assert suspicious.reasons == ("checksum-block-1", REASON_ID_MISMATCH)
+    assert suspicious is not run_handshake(a, imp, GOOD, rng=rng)
+
+
 def test_handshake_without_rng_is_refused_before_the_pools_move():
     a, b = friendly_pair()
     with pytest.raises(ValueError, match="rng"):

@@ -536,6 +536,82 @@ def test_a_default_run_checks_its_links_only_when_they_can_change(monkeypatch):
     assert 10 * len(checks) <= steps * len(engine.flows)
 
 
+@pytest.mark.parametrize("seed, kw", [
+    (1, {}),
+    (2, dict(sfv_mode="off", pause_s=0.4)),
+    (3, dict(node_speed_min=0.0, node_speed_max=0.0)),
+], ids=["breaking", "off-paused", "motionless"])
+def test_each_step_examines_exactly_its_due_flows_in_flow_order(monkeypatch, seed, kw):
+    # _handle_mob measures each flow it examines once, in the order it
+    # examines them; a handshake's end (_finish) measures its link too, so
+    # those measurements are left out.  The calendar must hand each step
+    # exactly the flows whose due step has come, in flow order.
+    expected, examined, finishing = [], [], []
+    handle_mob = simulator._Engine._handle_mob
+    finish = simulator._Engine._finish
+    measure = simulator._Engine._distance
+
+    def mob(engine, step):
+        expected.append([(f.src, f.dst) for f in engine.flows if f.due <= step])
+        examined.append([])
+        handle_mob(engine, step)
+
+    def finished(engine, job):
+        finishing.append(job)
+        finish(engine, job)
+        finishing.pop()
+
+    def distance(engine, a, b):
+        if not finishing:
+            examined[-1].append((a, b))
+        return measure(engine, a, b)
+
+    monkeypatch.setattr(simulator._Engine, "_handle_mob", mob)
+    monkeypatch.setattr(simulator._Engine, "_finish", finished)
+    monkeypatch.setattr(simulator._Engine, "_distance", distance)
+    engine = simulator._Engine(desk(seed=seed, **{**BREAKING, **kw}), 10.0)
+    m = engine.execute()
+    assert examined == expected
+    assert len(examined) == round(10.0 / engine.sc.mobility_step_s) + 1
+    flows = len(engine.flows)
+    assert examined[0] and sum(map(len, examined)) < len(examined) * flows
+    assert m.delivered > 0
+    if engine.closing == 0:  # once connected, a motionless link is never examined again
+        assert any(f.connected for f in engine.flows)
+        assert examined[-1] == [(f.src, f.dst) for f in engine.flows if not f.connected]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_execute_drains_between_handlers_only_channels_that_hold_a_handshake(monkeypatch, seed):
+    # Outside _wake and the run's end, execute runs a channel only when it
+    # holds a handshake, queued or in service, and open_handshakes counts
+    # exactly those.
+    calls, woken = [], []
+    drain = simulator._Engine._drain
+    wake = simulator._Engine._wake
+
+    def draining(engine, channel, until):
+        if not woken and until <= engine.duration:
+            held = sum(len(c.control) + (c.job.__class__ is tuple) for c in engine.channels)
+            calls.append((bool(channel.control) or channel.job.__class__ is tuple,
+                          engine.open_handshakes, held))
+        drain(engine, channel, until)
+
+    def waking(engine, channel):
+        woken.append(channel)
+        wake(engine, channel)
+        woken.pop()
+
+    monkeypatch.setattr(simulator._Engine, "_drain", draining)
+    monkeypatch.setattr(simulator._Engine, "_wake", waking)
+    engine = simulator._Engine(desk(seed=seed, **BREAKING), 10.0)
+    m = engine.execute()
+    assert m.handshakes > 0 and calls
+    assert all(holds and open_count == held > 0 for holds, open_count, held in calls)
+    assert engine.open_handshakes == sum(
+        len(c.control) + (c.job.__class__ is tuple) for c in engine.channels)
+
+
 def test_honest_pool_is_checked_once_and_shared(monkeypatch):
     # One check for the honest pool plus one per claiming attacker; honest
     # holders share its ID list but not its cursor.
@@ -549,7 +625,8 @@ def test_honest_pool_is_checked_once_and_shared(monkeypatch):
     monkeypatch.setattr(model.IdPool, "__post_init__", counting)
     engine = simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="mixed"), 1.0)
     assert sorted(calls) == ["IdPool"] * 3 + ["SybilIdentitySet"] * 2
-    honest = [engine.profiles[i].pool for c in engine.honest_by_cluster for i in c]
+    # An honest node's profile is built when an attack check first needs it.
+    honest = [engine._profile(i).pool for c in engine.honest_by_cluster for i in c]
     pools = [profile.pool for profile in engine.honest_pair] + honest
     assert all(pool.ids is engine.honest_ids for pool in pools)
     assert len({id(pool) for pool in pools}) == len(pools)
@@ -560,6 +637,31 @@ def test_honest_pool_is_checked_once_and_shared(monkeypatch):
     simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="replay",
                            replay_profile=ReplayProfile(0.1, 0.1, 0.1)), 1.0)
     assert calls == ["IdPool"]
+
+
+def test_honest_profiles_are_built_on_the_first_attack_check():
+    # A run without attackers builds no honest profile.  With attackers,
+    # each honest node an attack check met holds one, its own copy of the
+    # honest pool; the others hold none.
+    engine = simulator._Engine(desk(seed=2), 10.0)
+    engine.execute()
+    assert engine.profiles == [None] * len(engine.profiles)
+    engine = simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="mixed"), 10.0)
+    checked = set()
+    verify = engine._verify
+
+    def verifying(verifier, target, distance):
+        checked.add(verifier)
+        return verify(verifier, target, distance)
+
+    engine._verify = verifying
+    m = engine.execute()
+    honest = [i for c in engine.honest_by_cluster for i in c]
+    built = [i for i in honest if engine.profiles[i] is not None]
+    assert m.attack_attempts > 0 and built == sorted(checked)
+    assert {engine.profiles[i].role for i in built} == {"honest"}
+    assert all(engine.profiles[i].pool.ids is engine.honest_ids for i in built)
+    assert engine.honest_pool.next_index == 0
 
 
 def test_mode_alias_normalized():
