@@ -10,6 +10,7 @@ modeled probabilistically per verification check.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -32,8 +33,9 @@ class WormholeTunnel:
     def __post_init__(self):
         if self.endpoint_a == self.endpoint_b:
             raise ValueError("tunnel endpoints must differ")
-        if not self.tunnel_latency > 0:  # NaN fails too
-            raise ValueError(f"tunnel latency must be positive: {self.tunnel_latency}")
+        if not 0 < self.tunnel_latency < math.inf:  # NaN fails too
+            raise ValueError(f"tunnel latency must be positive and finite: "
+                             f"{self.tunnel_latency}")
 
 
 def wormhole_perturb(
@@ -49,14 +51,10 @@ def wormhole_perturb(
     knows its endpoint labels, not the victim's geometry).
     """
     return RangingEvidence(
-        d_radial=evidence.d_radial + LIGHTSPEED * tunnel.tunnel_latency / 2.0,
-        aoa=evidence.aoa if tunnel_bearing is None else tunnel_bearing % 360.0,
-        rtt=evidence.rtt + tunnel.tunnel_latency,
-        d_max=evidence.d_max,
-        aoa_center=evidence.aoa_center,
-        aoa_halfwidth=evidence.aoa_halfwidth,
-        rtt_max=evidence.rtt_max,
-    )
+        evidence.d_radial + LIGHTSPEED * tunnel.tunnel_latency / 2.0,
+        evidence.aoa if tunnel_bearing is None else tunnel_bearing % 360.0,
+        evidence.rtt + tunnel.tunnel_latency,
+        evidence.d_max, evidence.aoa_center, evidence.aoa_halfwidth, evidence.rtt_max)
 
 
 @dataclass

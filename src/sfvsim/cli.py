@@ -121,6 +121,8 @@ def _cmd_keyspace(args) -> int:
 
 
 def _cmd_handshake(args) -> int:
+    # The tunnel checks its latency first, whatever --adversary is.
+    tunnel = WormholeTunnel("relay-near", "relay-far", args.tunnel_latency)
     rng = random.Random(args.seed if args.seed is not None else 1)
     taken: set[int] = set()
     shared = draw_distinct_ids(rng, 6, taken)
@@ -129,7 +131,6 @@ def _cmd_handshake(args) -> int:
     evidence = evidence_for_link(150.0, 0.0, d_max=270.0)
 
     if args.adversary == "wormhole":
-        tunnel = WormholeTunnel("relay-near", "relay-far", args.tunnel_latency)
         evidence = wormhole_perturb(evidence, tunnel, tunnel_bearing=0.0)
     elif args.adversary == "sybil":
         responder = NodeProfile("impostor", (150.0, 0.0), (0.0, 0.0), "sybil",

@@ -129,7 +129,12 @@ class Block:
         return self.checksum_field == block_checksum(self.payload)
 
 
-@dataclass(frozen=True)
+# A frozen dataclass's generated __init__ stores each field through
+# object.__setattr__, a cost the dataclasses docs name.  The records built
+# on every link check (this one, NodeProfile, ranging.ThresholdResult and
+# protocol.Verdict) stay frozen dataclasses but store their fields with one
+# dict update in a hand-written __init__, then run their checks.
+@dataclass(frozen=True, init=False)
 class RangingEvidence:
     """One link's measured evidence plus the thresholds it must satisfy.
 
@@ -153,7 +158,10 @@ class RangingEvidence:
     aoa_halfwidth: float
     rtt_max: float
 
-    def __post_init__(self):
+    def __init__(self, d_radial, aoa, rtt, d_max, aoa_center, aoa_halfwidth, rtt_max):
+        self.__dict__.update(d_radial=d_radial, aoa=aoa, rtt=rtt, d_max=d_max,
+                             aoa_center=aoa_center, aoa_halfwidth=aoa_halfwidth,
+                             rtt_max=rtt_max)
         # Written so that NaN fails each check.
         if not self.d_radial >= 0:
             raise ValueError(f"radial distance must be >= 0: {self.d_radial}")
@@ -171,7 +179,7 @@ class RangingEvidence:
             raise ValueError(f"sector half-width outside (0, 180]: {self.aoa_halfwidth}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NodeProfile:
     """A node's identity, position, velocity and credential pool.
 
@@ -188,6 +196,8 @@ class NodeProfile:
     role: str  # "honest" | "sybil" | "wormhole-endpoint"
     pool: IdPool
 
-    def __post_init__(self):
+    def __init__(self, node_id, position, velocity, role, pool):
+        self.__dict__.update(node_id=node_id, position=position, velocity=velocity,
+                             role=role, pool=pool)
         if self.role not in ("honest", "sybil", "wormhole-endpoint"):
             raise ValueError(f"unknown node role: {self.role!r}")

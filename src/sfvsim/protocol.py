@@ -51,7 +51,7 @@ class HandshakeConfig:
             raise ValueError("retry limit cannot be negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     """Handshake outcome: friendly when there are no failure reasons,
     which needs all m blocks verified; anything else is suspicious."""
@@ -60,7 +60,9 @@ class Verdict:
     blocks_verified: int
     m_blocks: int
 
-    def __post_init__(self):
+    def __init__(self, reasons, blocks_verified, m_blocks):  # see model.RangingEvidence
+        self.__dict__.update(reasons=reasons, blocks_verified=blocks_verified,
+                             m_blocks=m_blocks)
         if not self.reasons and self.blocks_verified != self.m_blocks:
             raise ValueError(f"a verdict without reasons verified "
                              f"{self.blocks_verified} of {self.m_blocks} blocks")
@@ -122,7 +124,9 @@ def run_handshake(
 
     evidence may be a single measurement or a callable producing a fresh
     measurement per threshold attempt (one initial try plus retry_limit
-    retries).  responder_evidence defaults to the initiator's, matching a
+    retries).  A single measurement that fails is judged once, since a
+    retry would judge the same value, unless a transcript logs every
+    attempt.  responder_evidence defaults to the initiator's, matching a
     reciprocal channel; pass a separate source to model asymmetric error.
     Block payloads draw from rng, which is required: an unseeded fallback
     would make transcripts differ from call to call.  The exchange stops at
@@ -144,6 +148,8 @@ def run_handshake(
         if result.passed:
             accepted = candidate
             break
+        if log is None and candidate is evidence:
+            break  # a retry would judge the same immutable measurement again
     if accepted is None:
         verdict = Verdict(result.reasons, 0, cfg.m_blocks)
         if log is not None:

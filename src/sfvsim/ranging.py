@@ -81,11 +81,14 @@ def angular_distance(a: float, b: float) -> float:
     return min(diff, 360.0 - diff)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThresholdResult:
     """Outcome of evidence validation: the failed checks, none on a pass."""
 
     reasons: tuple[str, ...]
+
+    def __init__(self, reasons):  # one dict update, as in model.RangingEvidence
+        self.__dict__.update(reasons=reasons)
 
     @property
     def passed(self) -> bool:
@@ -112,12 +115,23 @@ def validate_evidence(evidence: RangingEvidence) -> ThresholdResult:
 
 
 @dataclass(frozen=True)
+class ScanResult:
+    """Selected range (None when the target is out of reach) and tries used."""
+
+    selected_range: float | None
+    attempts: int
+
+
+@dataclass(frozen=True)
 class ScanPlan:
     """Power-stepped neighbor scan schedule.
 
     ranges   selectable radio ranges in meters, strictly increasing
     ranging  True steps the power up from the shortest range; False scans
              once at full power
+
+    The plan builds each ScanResult a scan can return once; they are
+    frozen, so every scan shares them.
     """
 
     ranges: tuple[float, ...]
@@ -128,14 +142,10 @@ class ScanPlan:
             raise ValueError("scan plan needs at least one radio range")
         if any(b <= a for a, b in zip(self.ranges, self.ranges[1:])):
             raise ValueError(f"radio ranges must be strictly increasing: {self.ranges}")
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Selected range (None when the target is out of reach) and tries used."""
-
-    selected_range: float | None
-    attempts: int
+        steps = enumerate(self.ranges, start=1) if self.ranging else [(1, self.ranges[-1])]
+        hits = tuple((r, ScanResult(r, attempt)) for attempt, r in steps)
+        object.__setattr__(self, "_hits", hits)  # (range, result), tried in order
+        object.__setattr__(self, "_miss", ScanResult(None, len(hits)))
 
 
 def scan_for_neighbor(plan: ScanPlan, true_distance: float) -> ScanResult:
@@ -147,15 +157,10 @@ def scan_for_neighbor(plan: ScanPlan, true_distance: float) -> ScanResult:
     """
     if true_distance < 0:
         raise ValueError(f"negative target distance: {true_distance}")
-    if plan.ranging:
-        for attempt, radio_range in enumerate(plan.ranges, start=1):
-            if radio_range >= true_distance:
-                return ScanResult(radio_range, attempt)
-        return ScanResult(None, len(plan.ranges))
-    full_power = plan.ranges[-1]
-    if full_power >= true_distance:
-        return ScanResult(full_power, 1)
-    return ScanResult(None, 1)
+    for radio_range, result in plan._hits:
+        if radio_range >= true_distance:
+            return result
+    return plan._miss
 
 
 def evidence_for_link(
@@ -180,13 +185,7 @@ def evidence_for_link(
     if not distance >= 0.0:  # NaN fails too; max() below would hide it
         raise ValueError(f"link distance must be >= 0: {distance}")
     aoa = (bearing + angle_noise) % 360.0
-    return RangingEvidence(
-        d_radial=max(0.0, distance + distance_noise),
-        aoa=aoa,
-        rtt=max(0.0, 2.0 * distance / LIGHTSPEED + rtt_noise),
-        d_max=d_max,
-        aoa_center=bearing % 360.0,
-        aoa_halfwidth=aoa_halfwidth,
-        rtt_max=rtt_ceiling(d_max, processing_budget),
-    )
+    return RangingEvidence(max(0.0, distance + distance_noise), aoa,
+                           max(0.0, 2.0 * distance / LIGHTSPEED + rtt_noise), d_max,
+                           bearing % 360.0, aoa_halfwidth, rtt_ceiling(d_max, processing_budget))
 

@@ -302,7 +302,8 @@ class RandomWaypoint:
 
 
 def step_mobility(walk: RandomWaypoint, nodes, step: int) -> None:
-    """The engine's one call per mobility step: bring `nodes` to `step`.
+    """Bring `nodes` to `step`; the engine calls it on each mobility step
+    that has a node to move.
 
     The engine looks this name up at call time, so a tracer can wrap it.
     """
@@ -472,9 +473,9 @@ class _Engine:
 
     Node positions live in the flat lists x and y of a RandomWaypoint,
     whose legs are closed-form and whose draws are per node, so a node's
-    position is brought up to date only when a handler reads it: once per
-    mobility step (through step_mobility) for the endpoints of the flows
-    due on that step, and for every node at a neighbor-verification epoch
+    position is brought up to date only when a handler reads it: on each
+    mobility step (through step_mobility, skipped when no node moves) for
+    the endpoints of the flows due on that step, and for every node at a neighbor-verification epoch
     with work left and at each attack wave.  Every node a handler reads
     thus stands where the last mobility step that ran put it.
 
@@ -812,7 +813,8 @@ class _Engine:
                 nodes = self.every_node
             else:
                 nodes = [node for i in due for node in (flows[i].src, flows[i].dst)]
-            step_mobility(self.walk, nodes, step_index)
+            if nodes:
+                step_mobility(self.walk, nodes, step_index)
         self.mob_step = step_index
         for i in due:
             flow = flows[i]

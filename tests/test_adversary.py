@@ -85,6 +85,8 @@ def test_tunnel_validation():
         WormholeTunnel("a", "b", -1e-6)
     with pytest.raises(ValueError):
         WormholeTunnel("a", "b", math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        WormholeTunnel("a", "b", math.inf)
 
 
 # --------------------------------------------------------------------- sybil

@@ -563,6 +563,21 @@ def test_cli_handshake_nan_tunnel_latency_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("latency", ["inf", "-inf", "nan", "0"])
+@pytest.mark.parametrize("adversary", ["none", "sybil", "wormhole"])
+def test_cli_handshake_refuses_a_bad_tunnel_latency_before_any_work(adversary, latency,
+                                                                    monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("sfvsim.cli.draw_distinct_ids", refuse)
+    argv = ["handshake", "--adversary", adversary, f"--tunnel-latency={latency}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "tunnel latency" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_handshake_deterministic(capsys):
     assert main(["handshake", "--seed", "8"]) == 0
     first = capsys.readouterr().out

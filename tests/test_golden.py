@@ -1,5 +1,5 @@
 """Golden bytes: the metrics CSV of twelve short runs and of two two-point
-sweeps, three detection tables, and the transcripts of six seeded
+sweeps, three detection tables, and the transcripts of seven seeded
 handshake sets and of one CLI handshake, pinned by sha256.
 
 Any engine change that moves a simulated number (draw order, float
@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from sfvsim.adversary import WormholeTunnel, wormhole_perturb
 from sfvsim.cli import main
 from sfvsim.model import IdPool, NodeProfile, SymmetricId
 from sfvsim.protocol import HandshakeConfig, run_handshake, transcript_lines
@@ -328,6 +329,16 @@ def _threshold_retries(rng):
     return [((a, b, lambda: _link(rng, far=500.0), cfg), {}) for _ in range(10)]
 
 
+def _wormhole_gates(rng):
+    # One fixed measurement relayed through a tunnel fails the gates on
+    # every attempt; a transcript logs each of the three.
+    a, b = _node("victim", HONEST_IDS), _node("mouth", SYBIL_IDS)
+    tunnel = WormholeTunnel("mouth", "far", 1e-5)
+    cfg = HandshakeConfig(retry_limit=2)
+    return [((a, b, wormhole_perturb(_link(rng), tunnel, rng.uniform(0.0, 360.0)), cfg), {})
+            for _ in range(6)]
+
+
 HANDSHAKE_GOLDEN = {
     "friendly-m1": (
         _friendly(1),
@@ -353,22 +364,40 @@ HANDSHAKE_GOLDEN = {
         _threshold_retries,
         "4a558e295acd4986ea9b853aca80f760777a1badc160ecf636b266152a9391e9",
     ),
+    "wormhole-fixed-evidence": (
+        _wormhole_gates,
+        "f22e50745a306e20e4513d1669d66ee318ccd30dfe8a9b31d2a550f9dfd745cf",
+    ),
 }
+
+
+def _replay(name, keep_transcript):
+    """Run one golden handshake set.  Returns its transcript and verdict
+    lines interleaved, and the verdict lines alone; both end with the
+    payload rng's next draw."""
+    build, _ = HANDSHAKE_GOLDEN[name]
+    case_rng = random.Random(f"golden-{name}")
+    payload_rng = random.Random(11)
+    lines, verdicts = [], []
+    for args, kwargs in build(case_rng):
+        transcript = [] if keep_transcript else None
+        verdict = run_handshake(*args, payload_rng, transcript=transcript, **kwargs)
+        lines += transcript_lines(transcript or [])
+        verdicts.append(f"{verdict.outcome}:{';'.join(verdict.reasons)}:"
+                        f"{verdict.blocks_verified}/{verdict.m_blocks}")
+        lines.append(verdicts[-1])
+    # Pins how many payload bytes the exchanges drew, too.
+    verdicts.append(str(payload_rng.getrandbits(64)))
+    lines.append(verdicts[-1])
+    return lines, verdicts
 
 
 @pytest.mark.parametrize("name", list(HANDSHAKE_GOLDEN))
 def test_handshake_transcripts_match_the_recorded_digest(name):
-    build, digest = HANDSHAKE_GOLDEN[name]
-    case_rng = random.Random(f"golden-{name}")
-    payload_rng = random.Random(11)
-    lines = []
-    for args, kwargs in build(case_rng):
-        transcript = []
-        verdict = run_handshake(*args, payload_rng, transcript=transcript, **kwargs)
-        lines += transcript_lines(transcript)
-        lines.append(f"{verdict.outcome}:{';'.join(verdict.reasons)}:"
-                     f"{verdict.blocks_verified}/{verdict.m_blocks}")
-    # Pins how many payload bytes the exchanges drew, too.
-    lines.append(str(payload_rng.getrandbits(64)))
-    text = "\n".join(lines)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+    text = "\n".join(_replay(name, keep_transcript=True)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == HANDSHAKE_GOLDEN[name][1], text
+
+
+@pytest.mark.parametrize("name", list(HANDSHAKE_GOLDEN))
+def test_handshakes_without_a_transcript_reach_the_same_verdicts(name):
+    assert _replay(name, keep_transcript=False)[1] == _replay(name, keep_transcript=True)[1]

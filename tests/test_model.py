@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +24,8 @@ from sfvsim.model import (
     draw_distinct_ids,
     select_symmetric_id,
 )
+from sfvsim.protocol import Verdict
+from sfvsim.ranging import ScanPlan, scan_for_neighbor, validate_evidence
 
 
 # ---------------------------------------------------------------- identities
@@ -276,3 +278,27 @@ def test_node_profile_role_validation():
     NodeProfile("n1", (0.0, 0.0), (0.0, 0.0), "honest", pool)
     with pytest.raises(ValueError):
         NodeProfile("n1", (0.0, 0.0), (0.0, 0.0), "eavesdropper", pool)
+
+
+# Link checks share these records (a plan's scan results, the passing
+# threshold result, the friendly verdict), so none may take an assignment.
+FROZEN_RECORDS = {
+    "evidence": lambda: RangingEvidence(100.0, 45.0, 1e-6, 230.0, 45.0, 45.0, 7e-6),
+    "threshold": lambda: validate_evidence(RangingEvidence(100.0, 45.0, 1e-6, 230.0,
+                                                           45.0, 45.0, 7e-6)),
+    "verdict": lambda: Verdict(("checksum-block-1",), 0, 4),
+    "node": lambda: NodeProfile("n1", (0.0, 0.0), (0.0, 0.0), "honest", IdPool([1])),
+    "scan": lambda: scan_for_neighbor(ScanPlan((230.0, 250.0), ranging=True), 240.0),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_RECORDS))
+def test_shared_records_refuse_field_assignment(name):
+    record = FROZEN_RECORDS[name]()
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, spec.name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, spec.name)
+        assert getattr(record, spec.name) is value

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfvsim import protocol
 from sfvsim.model import IdPool, NodeProfile, SymmetricId
 from sfvsim.protocol import (
     HandshakeConfig,
@@ -15,7 +16,7 @@ from sfvsim.protocol import (
     run_handshake,
     transcript_lines,
 )
-from sfvsim.ranging import REASON_DISTANCE, evidence_for_link
+from sfvsim.ranging import REASON_DISTANCE, evidence_for_link, validate_evidence
 
 
 def make_node(name, ids, role="honest"):
@@ -160,6 +161,33 @@ def test_retry_limit_exhaustion_reports_last_attempt():
     assert not verdict.friendly
     assert verdict.reasons == (REASON_DISTANCE,)
     assert len(calls) == 3  # initial try plus two retries
+
+
+def test_a_fixed_measurement_that_fails_is_judged_once(monkeypatch):
+    # Retrying a fixed value would judge it again; a transcript still logs
+    # every attempt and a callable source still draws one per attempt.
+    judged = []
+
+    def counting(evidence):
+        judged.append(evidence)
+        return validate_evidence(evidence)
+
+    monkeypatch.setattr(protocol, "validate_evidence", counting)
+    a, b = friendly_pair()
+    cfg = HandshakeConfig(retry_limit=2)
+    plain = run_handshake(a, b, FAR, cfg, random.Random(4))
+    assert judged == [FAR]
+    logged = run_handshake(a, b, FAR, cfg, random.Random(4), transcript=[])
+    assert plain == logged and len(judged) == 4
+    run_handshake(a, b, lambda: FAR, cfg, random.Random(4))
+    assert len(judged) == 7
+
+
+def test_replace_still_refuses_a_verdict_without_reasons_short_of_m_blocks():
+    suspicious = Verdict(("checksum-block-2",), 1, 4)
+    with pytest.raises(ValueError):
+        replace(suspicious, reasons=())
+    assert replace(suspicious, reasons=(), blocks_verified=4) == Verdict((), 4, 4)
 
 
 def test_zero_retries_single_attempt():

@@ -162,6 +162,35 @@ def test_scan_plan_validation():
         ScanPlan(ranges=(250.0, 230.0), ranging=True)
 
 
+def _above(distance):
+    return math.nextafter(distance, math.inf)
+
+
+@pytest.mark.parametrize("plan,table", [
+    (PLAN, [(230.0, 230.0, 1), (_above(230.0), 250.0, 2), (250.0, 250.0, 2),
+            (_above(250.0), 270.0, 3), (270.0, 270.0, 3), (_above(270.0), None, 3),
+            (1e9, None, 3)]),
+    (FULL, [(230.0, 270.0, 1), (_above(230.0), 270.0, 1), (270.0, 270.0, 1),
+            (_above(270.0), None, 1), (1e9, None, 1)]),
+], ids=["ranging", "full-power"])
+def test_shared_scan_results_equal_fresh_ones_at_every_boundary(plan, table):
+    for distance, want_range, want_attempts in table:
+        assert scan_for_neighbor(plan, distance) == ScanResult(want_range, want_attempts)
+
+
+@pytest.mark.parametrize("plan,buckets", [
+    (PLAN, [(0.0, 230.0), (_above(230.0), 250.0), (_above(250.0), 270.0),
+            (_above(270.0), 1e9)]),
+    (FULL, [(0.0, 270.0), (_above(270.0), 1e9)]),
+], ids=["ranging", "full-power"])
+def test_distances_in_one_bucket_get_the_identical_result(plan, buckets):
+    # A plan builds its results once; they are frozen, so scans share them.
+    results = [scan_for_neighbor(plan, near) for near, _ in buckets]
+    for (near, far), result in zip(buckets, results):
+        assert scan_for_neighbor(plan, far) is result
+    assert len({id(result) for result in results}) == len(buckets)
+
+
 @given(st.floats(0.0, 400.0))
 def test_scan_selects_tightest_admissible_range(distance):
     result = scan_for_neighbor(PLAN, distance)
