@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .model import IdPool, NodeProfile, RangingEvidence
 from .protocol import HandshakeConfig, Verdict, run_handshake
-from .ranging import LIGHTSPEED
+from .ranging import LIGHTSPEED, wrap_degrees
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def wormhole_perturb(
     """
     return RangingEvidence(
         evidence.d_radial + LIGHTSPEED * tunnel.tunnel_latency / 2.0,
-        evidence.aoa if tunnel_bearing is None else tunnel_bearing % 360.0,
+        evidence.aoa if tunnel_bearing is None else wrap_degrees(tunnel_bearing),
         evidence.rtt + tunnel.tunnel_latency,
         evidence.d_max, evidence.aoa_center, evidence.aoa_halfwidth, evidence.rtt_max)
 

@@ -10,6 +10,12 @@ the reference.  `_exchange`, which `run_handshake` runs, is the same
 arithmetic inlined into one loop over a handshake's m blocks, on plain
 ints; a property test pins its block count and payload draws to the
 per-block API's.
+
+Equal keys always verify: a decryptor with the encryptor's seeds and ID
+recovers the feedback bits from the leading 32 ciphertext bits, rebuilds
+the encryptor's key, and so reads back every plaintext block.  `_exchange`
+therefore draws the m payloads of an exchange between equal (seed_i,
+seed_n, ID) triples and returns m without running the cipher.
 """
 
 from __future__ import annotations
@@ -157,7 +163,19 @@ def _exchange(sender: tuple[int, int, int], receiver: tuple[int, int, int],
     from the keys just used, and the exchange stops at the first block
     whose checksum fails.  The receiver reuses the sender's location word
     k1 or timing word w where its seed for that word equals the sender's.
+
+    Equal triples skip the cipher.  The ciphertext's leading 32 bits are
+    the plaintext's XOR k1, so a receiver holding the sender's seeds and ID
+    rebuilds the sender's timing word and its whole 90-bit key: every block
+    decrypts to its plaintext, its CRC holds, and both ends roll onto equal
+    seeds again.  Such an exchange only draws its m payloads, which keeps
+    rng where the full loop would leave it, and verifies all m blocks.
     """
+    if sender == receiver:
+        getrandbits = rng.getrandbits
+        for _ in range(m_blocks):
+            getrandbits(_PAYLOAD_BITS)
+        return m_blocks
     seed_i, seed_n, id_a = sender
     seed_r, seed_t, id_b = receiver
     id_a, id_b = id_a << K3_BITS, id_b << K3_BITS

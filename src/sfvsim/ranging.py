@@ -75,6 +75,16 @@ def rtt_ceiling(d_max: float, processing_budget: float = DEFAULT_PROCESSING_BUDG
     return 2.0 * d_max / LIGHTSPEED + processing_budget
 
 
+def wrap_degrees(angle: float) -> float:
+    """An angle reduced into [0, 360) degrees.
+
+    A float modulo can round a tiny negative angle up to exactly 360.0, as
+    (-8.9e-16) % 360.0 does; that result is the same direction as 0.0.
+    """
+    wrapped = angle % 360.0
+    return 0.0 if wrapped == 360.0 else wrapped
+
+
 def angular_distance(a: float, b: float) -> float:
     """Smallest absolute angle between two bearings, wrap-aware, degrees."""
     diff = abs(a - b) % 360.0
@@ -184,8 +194,8 @@ def evidence_for_link(
     """
     if not distance >= 0.0:  # NaN fails too; max() below would hide it
         raise ValueError(f"link distance must be >= 0: {distance}")
-    aoa = (bearing + angle_noise) % 360.0
-    return RangingEvidence(max(0.0, distance + distance_noise), aoa,
+    return RangingEvidence(max(0.0, distance + distance_noise), wrap_degrees(bearing + angle_noise),
                            max(0.0, 2.0 * distance / LIGHTSPEED + rtt_noise), d_max,
-                           bearing % 360.0, aoa_halfwidth, rtt_ceiling(d_max, processing_budget))
+                           wrap_degrees(bearing), aoa_halfwidth,
+                           rtt_ceiling(d_max, processing_budget))
 

@@ -68,6 +68,14 @@ def test_wormhole_bearing_override():
     assert warped.aoa == pytest.approx(200.0)
 
 
+def test_wormhole_wraps_a_tiny_negative_tunnel_bearing():
+    # -1e-17 % 360.0 is 360.0, which RangingEvidence refuses; it used to raise
+    ev = evidence_for_link(100.0, 5.0, 250.0)
+    warped = wormhole_perturb(ev, tunnel(latency=1e-6), tunnel_bearing=-1e-17)
+    assert warped.aoa == 0.0
+    assert warped.aoa_center == ev.aoa_center
+
+
 def test_degenerate_latency_limit_leaves_floats_untouched():
     # latency must be positive, but 1e-30 is far below float granularity
     # here, so the perturbed evidence is bit-identical

@@ -4,7 +4,7 @@ import random
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sfvsim.keyschedule import (
     SfvSession,
@@ -263,6 +263,12 @@ TRANSPARENT_DELTAS = [clmul(CRC_POLY, q) for q in range(1, 1 << 10)]
 @given(SEEDS, SEEDS, IDS, st.sampled_from(["same", "other", "transparent"]), IDS,
        st.sampled_from(["both", "location", "timing", "neither"]), SEEDS, SEEDS,
        st.integers(1, 8), st.integers(0, 2**32))
+# Equal triples take the kernel's cipher-free path; equal seeds with an
+# other or a transparent ID run the cipher.  The per-block API judges both.
+@example(0x1234_5678_9AB, 0x0FED_CBA9_876, 0x2A5_5A5A, "same", 0, "both", 0, 0, 1, 5)
+@example(0x1234_5678_9AB, 0x0FED_CBA9_876, 0x2A5_5A5A, "same", 0, "both", 0, 0, 8, 6)
+@example(0x1234_5678_9AB, 0x0FED_CBA9_876, 0x2A5_5A5A, "other", 0x155_A5A5, "both", 0, 0, 8, 7)
+@example(0x1234_5678_9AB, 0x0FED_CBA9_876, 0x2A5_5A5A, "transparent", 5, "both", 0, 0, 8, 8)
 def test_exchange_counts_what_the_block_api_verifies(seed_i, seed_n, id_a, id_kind, other_id,
                                                      shared, own_r, own_t, m_blocks,
                                                      payload_seed):

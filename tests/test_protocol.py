@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfvsim import protocol
-from sfvsim.model import IdPool, NodeProfile, SymmetricId
+from sfvsim.keyschedule import decrypt_block, encrypt_block, init_session, seed_from_location
+from sfvsim.model import Block, IdPool, NodeProfile, SymmetricId
 from sfvsim.protocol import (
     HandshakeConfig,
     REASON_ID_MISMATCH,
@@ -222,6 +223,40 @@ def test_asymmetric_measurement_fails_without_id_blame():
                             responder_evidence=responder_view)
     assert not verdict.friendly
     assert verdict.reasons == ("checksum-block-1",)
+
+
+def test_a_responder_view_that_keys_the_same_seeds_draws_only_the_payloads():
+    # A distinct measurement less than 0.5 cm away quantizes to the
+    # initiator's seeds, so both ends key equal triples: the exchange is
+    # friendly and leaves rng where m 80-bit payload draws leave it.
+    cfg = HandshakeConfig(m_blocks=6)
+    near = replace(GOOD, d_radial=GOOD.d_radial + 0.004)
+    assert near != GOOD and seed_from_location(near) == seed_from_location(GOOD)
+    rng, expected = random.Random(12), random.Random(12)
+    verdict = run_handshake(*friendly_pair(), GOOD, cfg, rng, responder_evidence=near)
+    assert verdict == Verdict((), 6, 6)
+    for _ in range(6):
+        expected.getrandbits(80)
+    assert rng.getstate() == expected.getstate()
+
+
+def test_a_responder_view_a_centimetre_away_verifies_what_the_block_api_does():
+    cfg = HandshakeConfig(m_blocks=6)
+    far = replace(GOOD, d_radial=GOOD.d_radial + 0.01)
+    assert seed_from_location(far) != seed_from_location(GOOD)
+    rng, block_rng = random.Random(13), random.Random(13)
+    verdict = run_handshake(*friendly_pair(), GOOD, cfg, rng, responder_evidence=far)
+    sender = init_session(GOOD, SymmetricId(10), "encryptor")
+    receiver = init_session(far, SymmetricId(10), "decryptor")
+    verified = 0
+    while verified < 6:
+        plain = Block.from_payload(block_rng.randbytes(10))
+        if not decrypt_block(receiver, encrypt_block(sender, plain)).checksum_ok():
+            break
+        verified += 1
+    assert verified < 6
+    assert verdict == Verdict((f"checksum-block-{verified + 1}",), verified, 6)
+    assert rng.getstate() == block_rng.getstate()
 
 
 def test_early_abort_stops_at_first_bad_block():

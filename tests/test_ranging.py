@@ -223,6 +223,23 @@ def test_evidence_for_link_noise_offsets():
     assert ev.rtt == pytest.approx(2 * 150 / LIGHTSPEED + 1e-7)
 
 
+def test_evidence_for_link_wraps_a_tiny_negative_arrival_angle():
+    # 5.0 + -5.000000000000001 is -8.9e-16, and a float modulo rounds that
+    # up to exactly 360.0, which used to raise "arrival angle outside [0, 360)"
+    assert (5.0 - 5.000000000000001) % 360.0 == 360.0
+    ev = evidence_for_link(100.0, 5.0, 250.0, angle_noise=-5.000000000000001)
+    assert ev.aoa == 0.0
+    assert ev.aoa_center == 5.0
+    assert validate_evidence(ev).passed
+
+
+def test_evidence_for_link_wraps_a_tiny_negative_bearing():
+    # the sector centre and the noiseless arrival angle both used to be 360.0
+    ev = evidence_for_link(100.0, -1e-17, 250.0)
+    assert (ev.aoa, ev.aoa_center) == (0.0, 0.0)
+    assert validate_evidence(ev).passed
+
+
 def test_evidence_for_link_rejects_a_nan_distance():
     # max(0.0, nan) is 0.0, so a NaN distance used to measure as 0 m
     for bad in (math.nan, -1.0):
