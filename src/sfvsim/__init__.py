@@ -39,7 +39,6 @@ from .keyschedule import (
 from .model import (
     Block,
     IdPool,
-    NodeProfile,
     RangingEvidence,
     SymmetricId,
     block_checksum,

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .model import IdPool, NodeProfile, RangingEvidence
+from .model import IdPool, RangingEvidence
 from .protocol import HandshakeConfig, Verdict, run_handshake
 from .ranging import LIGHTSPEED, wrap_degrees
 
@@ -64,10 +64,11 @@ class SybilIdentitySet(IdPool):
     The pool's ids are the claimed ones.  They must be disjoint from the
     honest pool; the simulator draws them so, since only it sees both
     sets.  The cursor cycles so consecutive block exchanges impersonate
-    successive identities.  Nothing reads victim.
+    successive identities.  Nothing reads victim, a label that perfbench
+    still passes.
     """
 
-    victim: str = field(kw_only=True)
+    victim: str = field(default="", kw_only=True)
 
     def __post_init__(self):
         if not self.ids:
@@ -77,7 +78,7 @@ class SybilIdentitySet(IdPool):
 
 def sybil_attempt(
     attacker: SybilIdentitySet,
-    victim: NodeProfile,
+    victim: IdPool,
     evidence: RangingEvidence,
     cfg: HandshakeConfig = HandshakeConfig(),
     rng: random.Random | None = None,
@@ -89,8 +90,7 @@ def sybil_attempt(
     wrong keystream word, so checksums fail.  run_handshake refuses a
     missing rng before the cursor moves.
     """
-    impostor = NodeProfile("sybil", victim.position, (0.0, 0.0), "sybil", attacker)
-    return run_handshake(victim, impostor, evidence, cfg, rng)
+    return run_handshake(victim, attacker, evidence, cfg, rng)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .analytics import (
     scientific_string,
 )
 from .config import build_replay_profile, build_scenario, load_config
-from .model import IdPool, KEY_BITS, NodeProfile, draw_distinct_ids
+from .model import IdPool, KEY_BITS, draw_distinct_ids
 from .protocol import HandshakeConfig, run_handshake, transcript_lines
 from .ranging import evidence_for_link
 from .simulator import SFV_MODES, ScenarioMetrics, check_run, run_scenario
@@ -59,6 +59,8 @@ SWEEP_KEYS = {
     "tx_rate": ("tx_rate_kbps",),
     "node_speed": ("node_speed_min", "node_speed_max"),
 }
+# The most points (values x repetitions) one sweep builds and checks.
+MAX_SWEEP_POINTS = 100_000
 
 
 def _cmd_sweep(args) -> int:
@@ -68,6 +70,9 @@ def _cmd_sweep(args) -> int:
     values = [float(part) for part in args.values.split(",") if part.strip()]
     if not values:
         raise ValueError("sweep needs at least one value")
+    if len(values) * args.repetitions > MAX_SWEEP_POINTS:
+        raise ValueError(f"--values x --repetitions exceeds {MAX_SWEEP_POINTS} sweep points: "
+                         f"{len(values)} x {args.repetitions}")
     base_seed = args.seed if args.seed is not None else options.get("master_seed", 1)
 
     # Every point is built and checked before the first one runs.
@@ -126,15 +131,13 @@ def _cmd_handshake(args) -> int:
     rng = random.Random(args.seed if args.seed is not None else 1)
     taken: set[int] = set()
     shared = draw_distinct_ids(rng, 6, taken)
-    initiator = NodeProfile("initiator", (0.0, 0.0), (0.0, 0.0), "honest", IdPool(list(shared)))
-    responder = NodeProfile("responder", (150.0, 0.0), (0.0, 0.0), "honest", IdPool(list(shared)))
+    initiator, responder = IdPool(list(shared)), IdPool(list(shared))
     evidence = evidence_for_link(150.0, 0.0, d_max=270.0)
 
     if args.adversary == "wormhole":
         evidence = wormhole_perturb(evidence, tunnel, tunnel_bearing=0.0)
     elif args.adversary == "sybil":
-        responder = NodeProfile("impostor", (150.0, 0.0), (0.0, 0.0), "sybil",
-                                IdPool(draw_distinct_ids(rng, 3, taken)))
+        responder = IdPool(draw_distinct_ids(rng, 3, taken))
     events = []
     run_handshake(initiator, responder, evidence, HandshakeConfig(), rng, transcript=events)
 

@@ -131,9 +131,9 @@ class Block:
 
 # A frozen dataclass's generated __init__ stores each field through
 # object.__setattr__, a cost the dataclasses docs name.  The records built
-# on every link check (this one, NodeProfile, ranging.ThresholdResult and
-# protocol.Verdict) stay frozen dataclasses but store their fields with one
-# dict update in a hand-written __init__, then run their checks.
+# on every link check (this one, ranging.ThresholdResult and protocol.Verdict)
+# stay frozen dataclasses but store their fields with one dict update in a
+# hand-written __init__, then run their checks.
 @dataclass(frozen=True, init=False)
 class RangingEvidence:
     """One link's measured evidence plus the thresholds it must satisfy.
@@ -179,25 +179,11 @@ class RangingEvidence:
             raise ValueError(f"sector half-width outside (0, 180]: {self.aoa_halfwidth}")
 
 
-@dataclass(frozen=True, init=False)
-class NodeProfile:
-    """A node's identity, position, velocity and credential pool.
+def NodeProfile(node_id, position, velocity, role, pool: IdPool) -> IdPool:
+    """Return pool as it is; a handshake end is its ID pool.
 
-    The simulator builds an attacker's at placement and an honest node's
-    on its first attack check, and hands it to every attack check the node
-    takes part in, so its pool's cursor keeps advancing across handshakes.
-    Honest links share one lockstep pair of profiles instead.  A handshake
-    reads only the pools.
+    Only perfbench's handshake-mix workload calls this, with the five
+    arguments of the record it replaced; the next change to perfbench
+    deletes it.
     """
-
-    node_id: str
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-    role: str  # "honest" | "sybil" | "wormhole-endpoint"
-    pool: IdPool
-
-    def __init__(self, node_id, position, velocity, role, pool):
-        self.__dict__.update(node_id=node_id, position=position, velocity=velocity,
-                             role=role, pool=pool)
-        if self.role not in ("honest", "sybil", "wormhole-endpoint"):
-            raise ValueError(f"unknown node role: {self.role!r}")
+    return pool

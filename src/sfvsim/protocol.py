@@ -26,7 +26,7 @@ from .keyschedule import (  # noqa: F401
     seed_from_location,
     seed_from_rtt,
 )
-from .model import NodeProfile, RangingEvidence, select_symmetric_id
+from .model import IdPool, RangingEvidence, select_symmetric_id
 from .ranging import validate_evidence
 
 REASON_ID_MISMATCH = "id-mismatch"
@@ -111,8 +111,8 @@ def _draw_evidence(source: EvidenceSource) -> RangingEvidence:
 
 
 def run_handshake(
-    initiator: NodeProfile,
-    responder: NodeProfile,
+    initiator: IdPool,
+    responder: IdPool,
     evidence: EvidenceSource,
     cfg: HandshakeConfig = HandshakeConfig(),
     rng: random.Random | None = None,
@@ -122,15 +122,18 @@ def run_handshake(
 ) -> Verdict:
     """Run the full handshake and return the initiator's verdict.
 
-    evidence may be a single measurement or a callable producing a fresh
-    measurement per threshold attempt (one initial try plus retry_limit
-    retries).  A single measurement that fails is judged once, since a
-    retry would judge the same value, unless a transcript logs every
-    attempt.  responder_evidence defaults to the initiator's, matching a
-    reciprocal channel; pass a separate source to model asymmetric error.
-    Block payloads draw from rng, which is required: an unseeded fallback
-    would make transcripts differ from call to call.  The exchange stops at
-    the first rejected block.
+    A handshake end is its ID pool and its evidence source: evidence is
+    the initiator's and responder_evidence the responder's.  Each pool's
+    cursor moves once when the evidence passes.  A source may be a single
+    measurement or a callable producing a fresh measurement per threshold
+    attempt (one initial try plus retry_limit retries).  A single
+    measurement that fails is judged once, since a retry would judge the
+    same value, unless a transcript logs every attempt.  responder_evidence
+    defaults to the initiator's, matching a reciprocal channel; pass a
+    separate source to model asymmetric error.  Block payloads draw from
+    rng, which is required: an unseeded fallback would make transcripts
+    differ from call to call.  The exchange stops at the first rejected
+    block.
     """
     if rng is None:
         raise ValueError("run_handshake needs an rng for the block payloads")
@@ -160,8 +163,8 @@ def run_handshake(
     if responder_evidence is not None:
         responder_view = _draw_evidence(responder_evidence)
         receiver = (seed_from_location(responder_view), seed_from_rtt(responder_view))
-    initiator_id = select_symmetric_id(initiator.pool)
-    responder_id = select_symmetric_id(responder.pool)
+    initiator_id = select_symmetric_id(initiator)
+    responder_id = select_symmetric_id(responder)
     blocks_verified = _exchange((*sender, initiator_id), (*receiver, responder_id),
                                 cfg.m_blocks, rng)
 

@@ -27,12 +27,13 @@ from .adversary import (
     sybil_attempt,
     wormhole_perturb,
 )
-from .model import ID_BITS, IdPool, NodeProfile, draw_distinct_ids
+from .model import ID_BITS, IdPool, draw_distinct_ids
 from .protocol import HandshakeConfig, run_handshake
 from .ranging import ScanPlan, evidence_for_link, scan_for_neighbor
 
 SFV_MODES = ("off", "sfv", "sfv-ranging")
-# The largest population a Scenario accepts, 125 times the reference one.
+# The largest population a Scenario accepts, 125 times the reference one,
+# and the most flows.
 MAX_NODES = 100_000
 # The most mobility steps, CBR ticks or attack waves one run may take; the
 # reference 60 s run takes 2,400 steps and 14,648 ticks.
@@ -102,6 +103,9 @@ class Scenario:
         if self.clusters * self.nodes_per_cluster > MAX_NODES:
             raise ValueError(f"clusters x nodes_per_cluster exceeds {MAX_NODES} nodes: "
                              f"{self.clusters} x {self.nodes_per_cluster}")
+        if self.clusters * self.flows_per_cluster > MAX_NODES:
+            raise ValueError(f"clusters x flows_per_cluster exceeds {MAX_NODES} flows: "
+                             f"{self.clusters} x {self.flows_per_cluster}")
         for name in ("terrain_width", "terrain_height", "cluster_width", "cluster_height",
                      "channel_capacity_kbps", "mobility_step_s", "discovery_interval_s",
                      "attack_interval_s", "handshake_base_s", "tunnel_latency_s"):
@@ -489,12 +493,13 @@ class _Engine:
     a few ulps of the coordinates each.  calendar files each flow under
     the next step it is due on; that step examines its flows in flow order.
 
-    Credentials are held once.  profiles holds each node's one NodeProfile
-    (None for a replay attacker, which presents none), an honest node's
-    built by _profile on the first attack check that hands it to a
-    handshake.  Every honest link's handshake runs on honest_pair, whose
-    two pools advance in lockstep.  attacker_kinds maps each attacker, in
-    index order, to its kind; all wormholes share one tunnel.
+    Credentials are held once, and a handshake end is its ID pool.  pools
+    holds each node's one pool (None for a replay attacker, which presents
+    none), an honest node's a copy of honest_pool made by _pool on the
+    first attack check that hands it to a handshake.  Every honest link's
+    handshake runs on honest_pair, two pools that advance in lockstep.
+    attacker_kinds maps each attacker, in index order, to its kind; all
+    wormholes share one tunnel.
 
     One link check serves neighbor-verification sweeps and attack waves
     alike: _nearest picks the candidate, _verify scans the link and runs
@@ -545,28 +550,24 @@ class _Engine:
         self.walk = RandomWaypoint([rects[c] for c in self.node_cluster], self.mobility_rng,
                                    sc.mobility_step_s, (sc.node_speed_min, sc.node_speed_max),
                                    sc.pause_s)
-        x, y = self.x, self.y = self.walk.x, self.walk.y
+        self.x, self.y = self.walk.x, self.walk.y
         self.every_node = range(count)
         # None until a node is first verified; False, once flagged, for good.
         self.verdict: list[bool | None] = [None] * count
 
         # Every ID drawn, the honest pool's and each claiming attacker's, is distinct.
         taken: set[int] = set()
-        self.honest_ids = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
         # The honest pool is checked once; every holder gets a shallow copy,
         # which shares its ID list and keeps its own cursor.
-        honest_pool = self.honest_pool = IdPool(self.honest_ids)
+        honest_pool = self.honest_pool = IdPool(draw_distinct_ids(self.layout_rng, sc.n_ids, taken))
         # Both ends of an honest link start from identical pools and advance
         # them together, so they always present the same ID; with equal IDs
         # on equal evidence every block verifies whatever the ID, so one
         # lockstep pair serves every honest link.
-        self.honest_pair = tuple(
-            NodeProfile(end, (0.0, 0.0), (0.0, 0.0), "honest", copy.copy(honest_pool))
-            for end in ("initiator", "responder"))
-        # An attacker's profile stands on its placement, as every node does
-        # on step 0.  A replay attacker presents no credentials, so it draws
-        # no IDs and holds no profile.
-        self.profiles: list[NodeProfile | None] = [None] * count
+        self.honest_pair = (copy.copy(honest_pool), copy.copy(honest_pool))
+        # A replay attacker presents no credentials, so it draws no IDs and
+        # holds no pool.
+        self.pools: list[IdPool | None] = [None] * count
         # Attacker index -> kind, in index order; mixed alternates sybil,
         # wormhole in that order.
         self.attacker_kinds: dict[int, str] = {}
@@ -587,14 +588,8 @@ class _Engine:
                 self.attacker_kinds[index] = kind
                 if kind == "replay":
                     continue
-                node_id = f"c{c}-n{i}"
                 claimed = draw_distinct_ids(self.layout_rng, sc.n_ids, taken)
-                if kind == "sybil":
-                    role, pool = "sybil", SybilIdentitySet(claimed, victim=node_id)
-                else:
-                    role, pool = "wormhole-endpoint", IdPool(claimed)
-                self.profiles[index] = NodeProfile(node_id, (x[index], y[index]), (0.0, 0.0),
-                                                   role, pool)
+                self.pools[index] = (SybilIdentitySet if kind == "sybil" else IdPool)(claimed)
 
         # Each honest verifier's not yet verified in-cluster peers in scan
         # order: honest peers, then attackers, each in index order.  A pair
@@ -666,13 +661,11 @@ class _Engine:
             rtt_noise=rtt_noise,
         )
 
-    def _profile(self, index: int) -> NodeProfile:
-        """The node's NodeProfile; an honest node's is built on its first attack check."""
-        if self.profiles[index] is None:
-            cluster, i = divmod(index, self.sc.nodes_per_cluster)
-            self.profiles[index] = NodeProfile(f"c{cluster}-n{i}", (self.x[index], self.y[index]),
-                                               (0.0, 0.0), "honest", copy.copy(self.honest_pool))
-        return self.profiles[index]
+    def _pool(self, index: int) -> IdPool:
+        """The node's ID pool; an honest node's is copied on its first attack check."""
+        if self.pools[index] is None:
+            self.pools[index] = copy.copy(self.honest_pool)
+        return self.pools[index]
 
     def _record_verdict(self, node_index: int, friendly: bool) -> None:
         if self.verdict[node_index] is not False:
@@ -923,12 +916,13 @@ class _Engine:
             if kind is None:
                 return self._handshake(target, evidence)
             if kind == "wormhole":
+                # The tunnel's mouth is the target, on the sector's centre bearing.
                 friendly = run_handshake(
-                    self._profile(verifier), self.profiles[target],
-                    wormhole_perturb(evidence, self.tunnel, self._bearing(verifier, target)),
+                    self._pool(verifier), self.pools[target],
+                    wormhole_perturb(evidence, self.tunnel, evidence.aoa_center),
                     sc.handshake, self.payload_rng).friendly
             else:  # sybil
-                friendly = sybil_attempt(self.profiles[target].pool, self._profile(verifier),
+                friendly = sybil_attempt(self.pools[target], self._pool(verifier),
                                          evidence, sc.handshake, self.payload_rng).friendly
         self._record_verdict(target, friendly)
         return friendly

@@ -24,7 +24,7 @@ from sfvsim.analytics import (
 )
 from sfvsim.cli import main
 from sfvsim.keyschedule import decrypt_block, encrypt_block, init_session
-from sfvsim.model import Block, IdPool, NodeProfile, PAYLOAD_BYTES, SymmetricId
+from sfvsim.model import Block, IdPool, PAYLOAD_BYTES, SymmetricId
 from sfvsim.protocol import HandshakeConfig, run_handshake
 from sfvsim.ranging import (
     REASON_DISTANCE,
@@ -123,9 +123,7 @@ def test_criterion_4_keyspace_exactness():
 
 def _provisioned_pair(rng):
     ids = [SymmetricId(rng.getrandbits(26)) for _ in range(4)]
-    a = NodeProfile("a", (0.0, 0.0), (0.0, 0.0), "honest", IdPool(list(ids)))
-    b = NodeProfile("b", (0.0, 0.0), (0.0, 0.0), "honest", IdPool(list(ids)))
-    return a, b
+    return IdPool(list(ids)), IdPool(list(ids))
 
 
 def test_criterion_5_wormhole_rejection_and_stealth_limit():
@@ -166,10 +164,8 @@ def test_criterion_6_sybil_acceptance_rate():
     of at most 2*2^-16 over 10^5 attempts, in under 1 minute."""
     trials = 100_000
     rng = random.Random(1)
-    honest = NodeProfile("a", (0.0, 0.0), (0.0, 0.0), "honest",
-                         IdPool([SymmetricId(1), SymmetricId(2), SymmetricId(3)]))
-    impostor = NodeProfile("x", (0.0, 0.0), (0.0, 0.0), "sybil",
-                           IdPool([SymmetricId(100), SymmetricId(200), SymmetricId(300)]))
+    honest = IdPool([SymmetricId(1), SymmetricId(2), SymmetricId(3)])
+    impostor = IdPool([SymmetricId(100), SymmetricId(200), SymmetricId(300)])
     evidence = evidence_for_link(150.0, 30.0, 230.0)
     cfg = HandshakeConfig(m_blocks=1)
     started = time.perf_counter()

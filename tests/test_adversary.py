@@ -14,7 +14,7 @@ from sfvsim.adversary import (
     sybil_attempt,
     wormhole_perturb,
 )
-from sfvsim.model import IdPool, NodeProfile, SymmetricId
+from sfvsim.model import IdPool, SymmetricId
 from sfvsim.protocol import HandshakeConfig
 from sfvsim.ranging import (
     LIGHTSPEED,
@@ -29,9 +29,8 @@ def tunnel(latency=1e-5):
     return WormholeTunnel(endpoint_a="w1", endpoint_b="w2", tunnel_latency=latency)
 
 
-def honest_node(name="victim", ids=(10, 20, 30)):
-    pool = IdPool([SymmetricId(v) for v in ids])
-    return NodeProfile(name, (0.0, 0.0), (0.0, 0.0), "honest", pool)
+def honest_pool(ids=(10, 20, 30)):
+    return IdPool([SymmetricId(v) for v in ids])
 
 
 # ------------------------------------------------------------------ wormhole
@@ -101,9 +100,9 @@ def test_tunnel_validation():
 
 def test_sybil_identities_must_be_unique():
     with pytest.raises(ValueError):
-        SybilIdentitySet([SymmetricId(1), SymmetricId(1)], victim="v")
+        SybilIdentitySet([SymmetricId(1), SymmetricId(1)])
     with pytest.raises(ValueError):
-        SybilIdentitySet([], victim="v")
+        SybilIdentitySet([])
 
 
 def test_disjointness_check():
@@ -114,14 +113,14 @@ def test_disjointness_check():
     sc = simulator.Scenario(clusters=1, nodes_per_cluster=7, master_seed=1,
                   attacker_fraction=1.0, attacker_kind="mixed")
     engine = simulator._Engine(sc, 1.0)
-    groups = [set(engine.honest_ids)]
+    groups = [set(engine.honest_pool.ids)]
     for index in sorted(engine.attacker_kinds):
-        groups.append(set(engine.profiles[index].pool.ids))
+        groups.append(set(engine.pools[index].ids))
     assert all(len(group) == sc.n_ids for group in groups)
     assert len(set().union(*groups)) == sc.n_ids * len(groups)
     sybils = [index for index, kind in sorted(engine.attacker_kinds.items()) if kind == "sybil"]
     assert sybils == [0, 2, 4, 6]
-    assert all(isinstance(engine.profiles[i].pool, SybilIdentitySet) for i in sybils)
+    assert all(isinstance(engine.pools[i], SybilIdentitySet) for i in sybils)
     wormholes = [index for index, kind in engine.attacker_kinds.items() if kind == "wormhole"]
     assert wormholes == [1, 3, 5]
 
@@ -139,18 +138,16 @@ def test_attacker_kinds_follow_attacker_order(kind, clusters, fraction, seed, ex
                             master_seed=seed)
     engine = simulator._Engine(sc, 1.0)
     assert engine.attacker_kinds == expected
-    # A replay attacker presents no credentials, so it holds no profile.
-    roles = {"sybil": "sybil", "wormhole": "wormhole-endpoint", "replay": None}
-    profiles = [engine.profiles[i] for i in expected]
-    assert [p and p.role for p in profiles] == [roles[k] for k in expected.values()]
+    # A wormhole presents a plain pool; a replay attacker presents no
+    # credentials, so it holds no pool.
+    pool_types = {"sybil": SybilIdentitySet, "wormhole": IdPool, "replay": type(None)}
+    assert ([type(engine.pools[i]) for i in expected]
+            == [pool_types[k] for k in expected.values()])
 
 
 def test_sybil_attempts_all_rejected_and_cursor_cycles():
-    victim = honest_node()
-    attacker = SybilIdentitySet(
-        [SymmetricId(100), SymmetricId(200), SymmetricId(300)],
-        victim=victim.node_id,
-    )
+    victim = honest_pool()
+    attacker = SybilIdentitySet([SymmetricId(100), SymmetricId(200), SymmetricId(300)])
     ev = evidence_for_link(120.0, 0.0, 270.0)
     rng = random.Random(1)
     cfg = HandshakeConfig()
@@ -161,8 +158,8 @@ def test_sybil_attempts_all_rejected_and_cursor_cycles():
 
 
 def test_sybil_attempt_presents_its_own_set_and_builds_no_pool(monkeypatch):
-    attacker = SybilIdentitySet([SymmetricId(100), SymmetricId(200)], victim="victim")
-    victim = honest_node()
+    attacker = SybilIdentitySet([SymmetricId(100), SymmetricId(200)])
+    victim = honest_pool()
     monkeypatch.setattr(IdPool, "__post_init__", lambda pool: pytest.fail("a pool was built"))
     rng = random.Random(1)
     # Only a block exchange presents an ID: a link the gates reject moves no cursor.
@@ -173,9 +170,9 @@ def test_sybil_attempt_presents_its_own_set_and_builds_no_pool(monkeypatch):
 
 
 def test_sybil_attempt_without_rng_is_refused_before_the_cursor_moves():
-    attacker = SybilIdentitySet([SymmetricId(100), SymmetricId(200)], victim="victim")
+    attacker = SybilIdentitySet([SymmetricId(100), SymmetricId(200)])
     with pytest.raises(ValueError, match="rng"):
-        sybil_attempt(attacker, honest_node(), evidence_for_link(120.0, 0.0, 270.0))
+        sybil_attempt(attacker, honest_pool(), evidence_for_link(120.0, 0.0, 270.0))
     assert attacker.next_index == 0
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sfvsim import analytics, simulator
+from sfvsim import analytics, cli, simulator
 from sfvsim.adversary import ReplayProfile
 from sfvsim.cli import main
 from sfvsim.config import _SCHEMA, build_scenario, load_config, parse_config_text
@@ -301,6 +301,7 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "cluster_width = 5000\n",
     "clusters = 1" + "0" * 400 + "\n",  # too large for math.sqrt's float
     "nodes_per_cluster = 100000000\n",
+    "flows_per_cluster = 100000000\n",
     "mobility_step_s = 1e-320\n",
     "mobility_step_s = 1e-12\n",
     "pause_s = 1e7\n",
@@ -312,8 +313,8 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "master_seed = -7\n",
     "master_seed = 18446744073709551616\n",
 ], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell",
-        "clusters-overflow", "nodes-beyond-cap", "step-subnormal", "step-beyond-cap",
-        "pause-beyond-cap", "ticks-beyond-cap", "attack-waves-beyond-cap",
+        "clusters-overflow", "nodes-beyond-cap", "flows-beyond-cap", "step-subnormal",
+        "step-beyond-cap", "pause-beyond-cap", "ticks-beyond-cap", "attack-waves-beyond-cap",
         "duration-beyond-cap", "ids-beyond-cap", "attacker-ids-beyond-cap",
         "seed-negative", "seed-beyond-64-bits"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
@@ -410,6 +411,30 @@ def test_cli_sweep_repeat_invocations_byte_identical(tmp_path):
 def test_cli_sweep_no_values_exits_2(capsys):
     assert main(["sweep", "--variable", "tx_rate", "--values", " , "]) == 2
     assert "at least one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, repetitions", [("200", 100_000_000), ("200,600", 50_001)])
+def test_cli_sweep_beyond_the_point_cap_exits_2_before_building_a_point(
+        values, repetitions, no_simulation, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep point was built")
+
+    monkeypatch.setattr("sfvsim.cli.build_scenario", refuse)
+    assert main(["sweep", "--variable", "tx_rate", "--values", values,
+                 "--repetitions", str(repetitions)]) == 2
+    captured = capsys.readouterr()
+    assert f"exceeds {cli.MAX_SWEEP_POINTS} sweep points" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_sweep_runs_exactly_the_point_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 4)
+    argv = ["sweep", "--variable", "tx_rate", "--values", "200,600", "--duration", "0.1",
+            "--mode", "off", "--repetitions"]
+    assert main(argv + ["2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+    assert main(argv + ["3"]) == 2
+    assert "2 x 3" in capsys.readouterr().err
 
 
 def test_cli_sweep_repetitions_below_one_exits_2(no_simulation, capsys):

@@ -16,7 +16,7 @@ import pytest
 
 from sfvsim.adversary import WormholeTunnel, wormhole_perturb
 from sfvsim.cli import main
-from sfvsim.model import IdPool, NodeProfile, SymmetricId
+from sfvsim.model import IdPool, SymmetricId
 from sfvsim.protocol import HandshakeConfig, run_handshake, transcript_lines
 from sfvsim.ranging import evidence_for_link
 
@@ -283,9 +283,8 @@ HONEST_IDS = (0x3FFFFFF, 0x1234567, 77, 0, 0x2ABCDEF)
 SYBIL_IDS = (5, 0x3000001, 91)
 
 
-def _node(name, values):
-    return NodeProfile(name, (0.0, 0.0), (0.0, 0.0), "honest",
-                       IdPool([SymmetricId(v) for v in values]))
+def _pool(values):
+    return IdPool([SymmetricId(v) for v in values])
 
 
 def _link(rng, far=225.0):
@@ -294,14 +293,14 @@ def _link(rng, far=225.0):
 
 def _friendly(m_blocks):
     def handshakes(rng):
-        a, b = _node("a", HONEST_IDS), _node("b", HONEST_IDS)
+        a, b = _pool(HONEST_IDS), _pool(HONEST_IDS)
         cfg = HandshakeConfig(m_blocks=m_blocks)
         return [((a, b, _link(rng), cfg), {}) for _ in range(6)]
     return handshakes
 
 
 def _sybil(rng):
-    a, b = _node("victim", HONEST_IDS), _node("impostor", SYBIL_IDS)
+    a, b = _pool(HONEST_IDS), _pool(SYBIL_IDS)
     return [((a, b, _link(rng), HandshakeConfig()), {}) for _ in range(6)]
 
 
@@ -309,7 +308,7 @@ def _asymmetric(rng):
     # The responder measures the link a little differently: alternately a
     # centimeter-scale distance offset (location seed) and a nanosecond-scale
     # RTT offset (timing seed).  Same pools, so no id-mismatch.
-    a, b = _node("a", HONEST_IDS), _node("b", HONEST_IDS)
+    a, b = _pool(HONEST_IDS), _pool(HONEST_IDS)
     calls = []
     for k in range(6):
         ev = _link(rng)
@@ -324,7 +323,7 @@ def _asymmetric(rng):
 def _threshold_retries(rng):
     # A fresh measurement per attempt, some beyond the 230 m range, so
     # handshakes pass on the first, second or third try or fail all three.
-    a, b = _node("a", HONEST_IDS), _node("b", HONEST_IDS)
+    a, b = _pool(HONEST_IDS), _pool(HONEST_IDS)
     cfg = HandshakeConfig(m_blocks=2, retry_limit=2)
     return [((a, b, lambda: _link(rng, far=500.0), cfg), {}) for _ in range(10)]
 
@@ -332,7 +331,7 @@ def _threshold_retries(rng):
 def _wormhole_gates(rng):
     # One fixed measurement relayed through a tunnel fails the gates on
     # every attempt; a transcript logs each of the three.
-    a, b = _node("victim", HONEST_IDS), _node("mouth", SYBIL_IDS)
+    a, b = _pool(HONEST_IDS), _pool(SYBIL_IDS)
     tunnel = WormholeTunnel("mouth", "far", 1e-5)
     cfg = HandshakeConfig(retry_limit=2)
     return [((a, b, wormhole_perturb(_link(rng), tunnel, rng.uniform(0.0, 360.0)), cfg), {})

@@ -7,6 +7,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 from hypothesis import given, strategies as st
 
+import sfvsim
+
 from sfvsim.keyschedule import SfvSession, encrypt_block, rng1, rng2
 from sfvsim.model import (
     BLOCK_BYTES,
@@ -273,11 +275,12 @@ def test_evidence_field_validation():
             replace(good, **{spec.name: math.nan})
 
 
-def test_node_profile_role_validation():
+def test_node_profile_returns_its_pool():
+    # A handshake end is its ID pool.  perfbench's handshake-mix still calls
+    # NodeProfile with the old record's five arguments; it gets the pool back.
     pool = IdPool([SymmetricId(1)])
-    NodeProfile("n1", (0.0, 0.0), (0.0, 0.0), "honest", pool)
-    with pytest.raises(ValueError):
-        NodeProfile("n1", (0.0, 0.0), (0.0, 0.0), "eavesdropper", pool)
+    assert NodeProfile("n1", (0.0, 0.0), (0.0, 0.0), "honest", pool) is pool
+    assert not hasattr(sfvsim, "NodeProfile")
 
 
 # Link checks share these records (a plan's scan results, the passing
@@ -287,7 +290,6 @@ FROZEN_RECORDS = {
     "threshold": lambda: validate_evidence(RangingEvidence(100.0, 45.0, 1e-6, 230.0,
                                                            45.0, 45.0, 7e-6)),
     "verdict": lambda: Verdict(("checksum-block-1",), 0, 4),
-    "node": lambda: NodeProfile("n1", (0.0, 0.0), (0.0, 0.0), "honest", IdPool([1])),
     "scan": lambda: scan_for_neighbor(ScanPlan((230.0, 250.0), ranging=True), 240.0),
 }
 

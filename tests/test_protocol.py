@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfvsim import protocol
 from sfvsim.keyschedule import decrypt_block, encrypt_block, init_session, seed_from_location
-from sfvsim.model import Block, IdPool, NodeProfile, SymmetricId
+from sfvsim.model import Block, IdPool, SymmetricId
 from sfvsim.protocol import (
     HandshakeConfig,
     REASON_ID_MISMATCH,
@@ -20,13 +20,12 @@ from sfvsim.protocol import (
 from sfvsim.ranging import REASON_DISTANCE, evidence_for_link, validate_evidence
 
 
-def make_node(name, ids, role="honest"):
-    pool = IdPool([SymmetricId(v) for v in ids])
-    return NodeProfile(name, (0.0, 0.0), (0.0, 0.0), role, pool)
+def make_pool(ids):
+    return IdPool([SymmetricId(v) for v in ids])
 
 
 def friendly_pair(ids=(10, 20, 30)):
-    return make_node("a", ids), make_node("b", ids)
+    return make_pool(ids), make_pool(ids)
 
 
 GOOD = evidence_for_link(150.0, 30.0, 230.0)
@@ -77,7 +76,7 @@ def test_friendly_handshakes_share_one_verdict_per_block_count():
     assert first is second and first == Verdict((), 4, 4)
     two = run_handshake(a, b, GOOD, HandshakeConfig(m_blocks=2), rng)
     assert two is not first and two == Verdict((), 2, 2)
-    imp = make_node("imp", (1 << 20,), role="sybil")
+    imp = make_pool((1 << 20,))
     suspicious = run_handshake(a, imp, GOOD, rng=rng)
     assert suspicious.reasons == ("checksum-block-1", REASON_ID_MISMATCH)
     assert suspicious is not run_handshake(a, imp, GOOD, rng=rng)
@@ -87,7 +86,7 @@ def test_handshake_without_rng_is_refused_before_the_pools_move():
     a, b = friendly_pair()
     with pytest.raises(ValueError, match="rng"):
         run_handshake(a, b, GOOD)
-    assert a.pool.next_index == b.pool.next_index == 0
+    assert a.next_index == b.next_index == 0
 
 
 def test_pools_rotate_in_lockstep():
@@ -96,7 +95,7 @@ def test_pools_rotate_in_lockstep():
         verdict = run_handshake(a, b, GOOD, rng=random.Random(round_number))
         assert verdict.friendly
     # cursor wrapped: 5 handshakes over a 3-id pool
-    assert a.pool.next_index == b.pool.next_index == 5 % 3
+    assert a.next_index == b.next_index == 5 % 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,7 +131,7 @@ def test_threshold_failure_skips_block_phase():
     assert REASON_DISTANCE in verdict.reasons
     assert verdict.blocks_verified == 0
     # no ids consumed when the gate never opens
-    assert a.pool.next_index == 0
+    assert a.next_index == 0
 
 
 def test_retry_consumes_fresh_evidence():
@@ -205,8 +204,8 @@ def test_zero_retries_single_attempt():
 
 
 def test_disjoint_ids_rejected_with_reasons():
-    a = make_node("honest", (10, 20))
-    imp = make_node("imp", (1 << 20,), role="sybil")
+    a = make_pool((10, 20))
+    imp = make_pool((1 << 20,))
     verdict = run_handshake(a, imp, GOOD, rng=random.Random(6))
     assert not verdict.friendly
     assert verdict.reasons[0] == "checksum-block-1"
@@ -260,8 +259,8 @@ def test_a_responder_view_a_centimetre_away_verifies_what_the_block_api_does():
 
 
 def test_early_abort_stops_at_first_bad_block():
-    a = make_node("honest", (10,))
-    imp = make_node("imp", (99,), role="sybil")
+    a = make_pool((10,))
+    imp = make_pool((99,))
     events = []
     run_handshake(a, imp, GOOD, rng=random.Random(8), transcript=events)
     exchanges = [e for e in events if e.phase == "exchange"]
@@ -322,8 +321,8 @@ def test_single_block_config_soundness_sample():
     rejected = 0
     trials = 3_000
     for i in range(trials):
-        a = make_node("honest", (10, 20))
-        imp = make_node("imp", ((1 << 25) + i,), role="sybil")
+        a = make_pool((10, 20))
+        imp = make_pool(((1 << 25) + i,))
         verdict = run_handshake(a, imp, GOOD, HandshakeConfig(m_blocks=1), rng=rng)
         rejected += not verdict.friendly
     assert rejected >= trials - 2

@@ -630,27 +630,28 @@ def test_honest_pool_is_checked_once_and_shared(monkeypatch):
     monkeypatch.setattr(model.IdPool, "__post_init__", counting)
     engine = simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="mixed"), 1.0)
     assert sorted(calls) == ["IdPool"] * 3 + ["SybilIdentitySet"] * 2
-    # An honest node's profile is built when an attack check first needs it.
-    honest = [engine._profile(i).pool for c in engine.honest_by_cluster for i in c]
-    pools = [profile.pool for profile in engine.honest_pair] + honest
-    assert all(pool.ids is engine.honest_ids for pool in pools)
-    assert len({id(pool) for pool in pools}) == len(pools)
+    # An honest node's pool is copied when an attack check first needs it.
+    honest = [engine._pool(i) for c in engine.honest_by_cluster for i in c]
+    pools = [*engine.honest_pair, *honest]
+    honest_ids = engine.honest_pool.ids
+    assert all(pool.ids is honest_ids for pool in pools)
+    assert len({id(pool) for pool in [engine.honest_pool, *pools]}) == len(pools) + 1
     # Every pool, the honest one and each attacker's, holds plain ints.
-    claimed = [engine.profiles[i].pool.ids for i in engine.attacker_kinds]
-    assert {type(i) for ids in [engine.honest_ids, *claimed] for i in ids} == {int}
+    claimed = [engine.pools[i].ids for i in engine.attacker_kinds]
+    assert {type(i) for ids in [honest_ids, *claimed] for i in ids} == {int}
     calls.clear()
     simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="replay",
                            replay_profile=ReplayProfile(0.1, 0.1, 0.1)), 1.0)
     assert calls == ["IdPool"]
 
 
-def test_honest_profiles_are_built_on_the_first_attack_check():
-    # A run without attackers builds no honest profile.  With attackers,
-    # each honest node an attack check met holds one, its own copy of the
-    # honest pool; the others hold none.
+def test_honest_pools_are_copied_on_the_first_attack_check():
+    # A run without attackers copies no honest pool.  With attackers, each
+    # honest node an attack check met holds one, its own copy of the honest
+    # pool; the others hold none.
     engine = simulator._Engine(desk(seed=2), 10.0)
     engine.execute()
-    assert engine.profiles == [None] * len(engine.profiles)
+    assert engine.pools == [None] * len(engine.pools)
     engine = simulator._Engine(desk(seed=2, attacker_fraction=0.1, attacker_kind="mixed"), 10.0)
     checked = set()
     verify = engine._verify
@@ -662,10 +663,10 @@ def test_honest_profiles_are_built_on_the_first_attack_check():
     engine._verify = verifying
     m = engine.execute()
     honest = [i for c in engine.honest_by_cluster for i in c]
-    built = [i for i in honest if engine.profiles[i] is not None]
+    built = [i for i in honest if engine.pools[i] is not None]
     assert m.attack_attempts > 0 and built == sorted(checked)
-    assert {engine.profiles[i].role for i in built} == {"honest"}
-    assert all(engine.profiles[i].pool.ids is engine.honest_ids for i in built)
+    assert {type(engine.pools[i]) for i in built} == {model.IdPool}
+    assert all(engine.pools[i].ids is engine.honest_pool.ids for i in built)
     assert engine.honest_pool.next_index == 0
 
 
@@ -714,7 +715,9 @@ def test_throughput_never_exceeds_offered_load():
     dict(clusters=4, cluster_width=1500.1, cluster_height=1000.0),
     dict(clusters=10 ** 400),  # beyond math.sqrt's float range, too
     dict(nodes_per_cluster=100_000_000),
-    dict(clusters=1000, nodes_per_cluster=101),  # 101,000 nodes, cap 100,000
+    # 101,000 nodes, cap 100,000; 90 m clusters fit the 93.75 m cells, so
+    # only the population cap can refuse it.
+    dict(clusters=1000, nodes_per_cluster=101, cluster_width=90.0, cluster_height=90.0),
     dict(mobility_step_s=1e-320),  # discovery epochs of infinitely many steps
     dict(pause_s=1e7),  # a pause of 4e8 steps, cap 1e8
     dict(master_seed=-1),  # random.Random would seed from abs(-1)
@@ -725,6 +728,17 @@ def test_invalid_scenarios_rejected(kw):
         kw = dict(kw, attacker_fraction=0.1)
     with pytest.raises(ValueError):
         desk(**kw)
+
+
+def test_flows_are_capped_like_the_population():
+    # _build_flows makes up to clusters x flows_per_cluster flows, so an
+    # absurd count is refused when the Scenario is made, not mid-build.
+    with pytest.raises(ValueError, match="flows_per_cluster exceeds 100000 flows"):
+        desk(flows_per_cluster=100_000_000)
+    cells = dict(clusters=1000, cluster_width=90.0, cluster_height=90.0)  # 93.75 m cells
+    with pytest.raises(ValueError, match="1000 x 101"):
+        desk(flows_per_cluster=101, **cells)
+    assert desk(flows_per_cluster=100, **cells).flows_per_cluster == 100
 
 
 def test_ranging_mode_scans_and_shakes_more():
