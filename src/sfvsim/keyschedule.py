@@ -73,6 +73,10 @@ def rng2(seed: int) -> int:
     return _mix64((seed + _ADD_2) & _M64) & _MASK32
 
 
+# The location seed's distance field holds whole centimetres below this.
+DISTANCE_FIELD = 1 << 40
+
+
 def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
@@ -86,7 +90,7 @@ def seed_from_location(evidence: RangingEvidence) -> int:
     their keystreams diverge from block one.
     """
     distance_q = _round_half_up(evidence.d_radial * 100.0)
-    if distance_q >= 1 << 40:
+    if distance_q >= DISTANCE_FIELD:
         raise ValueError(f"distance {evidence.d_radial} m overflows the 40-bit field")
     angle_q = _round_half_up(evidence.aoa * 100.0)
     return (distance_q << 16) | angle_q

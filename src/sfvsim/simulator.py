@@ -15,8 +15,10 @@ import hashlib
 import math
 import random
 import struct
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import accumulate, islice, repeat
 from typing import NamedTuple
 
 from .adversary import (
@@ -27,6 +29,7 @@ from .adversary import (
     sybil_attempt,
     wormhole_perturb,
 )
+from .keyschedule import DISTANCE_FIELD, _round_half_up
 from .model import ID_BITS, IdPool, draw_distinct_ids
 from .protocol import HandshakeConfig, run_handshake
 from .ranging import ScanPlan, evidence_for_link, scan_for_neighbor
@@ -38,6 +41,9 @@ MAX_NODES = 100_000
 # The most mobility steps, CBR ticks or attack waves one run may take; the
 # reference 60 s run takes 2,400 steps and 14,648 ticks.
 MAX_STEPS = 100_000_000
+# The most round-robin rounds _Engine._serve_rounds serves in one batch, so
+# that a deep queue_capacity does not size its lists.
+MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,11 @@ class Scenario:
             raise ValueError(f"radio ranges must be strictly increasing: {self.radio_ranges}")
         if self.radio_ranges[0] <= 0:
             raise ValueError(f"radio ranges must be positive: {self.radio_ranges}")
+        # Evidence that passes the gates lies within the largest range, so
+        # its distance then fits the location seed's centimetre field.
+        if _round_half_up(self.radio_ranges[-1] * 100.0) >= DISTANCE_FIELD:
+            raise ValueError(f"radio_ranges must round to fewer than {DISTANCE_FIELD} whole cm, "
+                             f"the location seed's distance field: {self.radio_ranges}")
         if self.sfv_mode not in SFV_MODES:
             raise ValueError(f"sfv_mode must be one of {SFV_MODES}: {self.sfv_mode!r}")
         if not 0.0 <= self.attacker_fraction <= 1.0:
@@ -351,13 +362,16 @@ class _Flow:
 
     Its packet k arrives at k * gen_interval.  queue holds the tick numbers
     of the packets it kept, and tick is its first packet not yet offered
-    to the queue: the flow takes its pending packets, those before its
-    channel's tick, only when it is served or the run ends.  A service is
-    the only thing that removes a packet, so taking them then, as many as
-    the queue has room for, keeps and drops exactly the packets that
-    taking each on arrival would.  reach says whether a packet served now
-    would find dst within selected_range (positions and ranges only change
-    at mobility steps and handshake ends, which refresh it).
+    to the queue.  Tick numbers are whole floats, exact since check_run
+    keeps them far below 2^53: tick * gen_interval is the product an int
+    would give, without the interpreter's slower mixed-type path.  The
+    flow takes its pending packets, those before its channel's tick, only
+    when it is served or the run ends.  A service is the only thing that
+    removes a packet, so taking them then, as many as the queue has room
+    for, keeps and drops exactly the packets that taking each on arrival
+    would.  reach says whether a packet served now would find dst within
+    selected_range (positions and ranges only change at mobility steps and
+    handshake ends, which refresh it).
 
     due is the first mobility step on which _Engine._handle_mob examines
     the flow again.  An unconnected or handshaking flow stays due on every
@@ -378,8 +392,8 @@ class _Flow:
         self.src = src
         self.dst = dst
         self.cluster = cluster
-        self.queue: deque[int] = deque()
-        self.tick = 1
+        self.queue: deque[float] = deque()
+        self.tick = 1.0
         self.dropped_range = 0
         self.delivered = 0
         self.total_delay = 0.0
@@ -389,14 +403,14 @@ class _Flow:
         self.reach = False
         self.due = 0
 
-    def take(self, tick: int, capacity: int) -> None:
+    def take(self, tick: float, capacity: int) -> None:
         """Queue the pending packets before `tick` that fit; drop the rest."""
         queue = self.queue
         first = self.tick
         last = first + capacity - len(queue)
         while first < tick and first < last:
             queue.append(first)
-            first += 1
+            first += 1.0
         self.tick = tick
 
 
@@ -420,7 +434,7 @@ class _Channel:
         self.rr = 0
         self.job = None
         self.done = math.inf
-        self.tick = 1
+        self.tick = 1.0
 
 
 @dataclass(frozen=True)
@@ -696,6 +710,10 @@ class _Engine:
         call queues a handshake and only a handshake's end connects a flow,
         so then the connected flows stay fixed and one loop serves the data
         packets, with no per-packet test of control or of a job's kind.
+        When the data phase starts, and whenever a served packet leaves two
+        or more in its queue, the loop asks whether every connected flow
+        holds b >= 2 queued packets; if so _serve_rounds serves the next b
+        rounds, whose order is then fixed, as one batch.
         """
         gen_interval = self.gen_interval
         tick = channel.tick
@@ -713,7 +731,21 @@ class _Engine:
         at = tick * gen_interval  # the next arrival
         ending = done < math.inf  # the job in service, or a wake-up, ends first
         scan = 0  # flows the round-robin examines: none until the handshakes ran
+        live = None  # the connected flows' indices, once the data phase starts
+        backlog = False  # whether to look for a batch of rounds
         while True:
+            if backlog:
+                backlog = False
+                if live is None:
+                    live = [index for index, flow in enumerate(flows) if flow.connected]
+                    queues = [flows[index].queue for index in live]
+                rounds = min(map(len, queues), default=0)
+                if rounds > 1:
+                    served = self._serve_rounds(flows, live, rr, min(rounds, MAX_ROUNDS),
+                                                done, tick, until)
+                    if served is not None:
+                        job, rr, done, tick = served
+                        at = tick * gen_interval
             index = rr
             stop = rr + scan
             while index < stop:
@@ -731,10 +763,11 @@ class _Engine:
                     scan = 0 if control else count
                     if job.__class__ is not _Flow:  # else its packet is served below
                         while at < done:  # a handshake ends, or the channel wakes
-                            tick += 1
+                            tick += 1.0
                             at = tick * gen_interval
                         if job is not None:
                             self._finish(job)
+                        backlog = scan > 0  # the data phase starts
                         continue
                 elif control:
                     job = control.popleft()
@@ -752,12 +785,12 @@ class _Engine:
                     rr = index % count
                     scan = count
                     done = at + data_time
-                    tick += 1
+                    tick += 1.0
                     at = tick * gen_interval
             if done >= until:
                 break
             while at < done:  # the job ends after that tick's arrivals
-                tick += 1
+                tick += 1.0
                 at = tick * gen_interval
             queue = job.queue
             first = job.tick
@@ -765,7 +798,7 @@ class _Engine:
                 last = first + capacity - len(queue)
                 while first < tick and first < last:
                     queue.append(first)
-                    first += 1
+                    first += 1.0
                 job.tick = tick
             sent = queue.popleft()
             if job.reach:
@@ -773,13 +806,98 @@ class _Engine:
                 job.total_delay += done - sent * gen_interval
             else:
                 job.dropped_range += 1
+            if len(queue) > 1 and scan:
+                backlog = True
         while at < until:
-            tick += 1
+            tick += 1.0
             at = tick * gen_interval
         channel.tick = tick
         channel.job = job
         channel.done = done
         channel.rr = rr
+
+    def _serve_rounds(self, flows: list[_Flow], live: list[int], rr: int, rounds: int,
+                      done: float, tick: float, until: float):
+        """Serve `rounds` round-robin rounds of a data phase as one batch.
+
+        live lists the indices of the connected flows in flow order, and
+        each of their queues holds at least `rounds` packets, so each has a
+        packet at its turn in every round: the rounds serve live in ring
+        order from rr, once per round.  The service ends are the per-packet
+        loop's own sums of data_time from done, and each end gets the tick
+        that loop walks to.  The services that end before until run flow by
+        flow, each flow's in its own order.  Every packet they serve was
+        queued already, so a flow's delays come first, and then its takes,
+        by _Flow.take's room rule, only append.  The first service that
+        ends at or after until is left to the per-packet loop.  Returns the
+        last flow served, rr, done and tick as that loop would leave them,
+        or None when no service ends before until.
+        """
+        gen_interval = self.gen_interval
+        capacity = self.sc.queue_capacity
+        cut = bisect_left(live, rr)
+        order = live[cut:] + live[:cut]
+        step = len(order)
+        # The same float additions as the per-packet loop's done += data_time.
+        ends = list(accumulate(repeat(self.data_time, rounds * step), initial=done))
+        served = bisect_left(ends, until, 1) - 1
+        if not served:
+            return None
+        ticks = []
+        append = ticks.append
+        at = tick * gen_interval
+        # run counts the services in a row that end with one tick; more than
+        # step of them give some flow two services with no arrival between.
+        run = 0
+        repeats = False
+        for end in islice(ends, 1, served + 1):
+            if at < end:
+                while at < end:  # each job ends after that tick's arrivals
+                    tick += 1.0
+                    at = tick * gen_interval
+                run = 1
+            elif run < step:
+                run += 1
+            else:
+                repeats = True
+            append(tick)
+        for offset, index in enumerate(order[:served]):
+            flow = flows[index]
+            queue = flow.queue
+            times = ends[offset + 1:served + 1:step]
+            nows = ticks[offset::step]
+            count = len(times)
+            if flow.reach:
+                delay = flow.total_delay
+                for end, sent in zip(times, queue):
+                    delay += end - sent * gen_interval
+                flow.total_delay = delay
+                flow.delivered += count
+            else:
+                flow.dropped_range += count
+            first = flow.tick
+            room = capacity - len(queue)
+            kept = list(islice(queue, count, None))
+            if room <= nows[0] - first and not repeats:
+                # The first take fills the queue.  Every later one finds new
+                # packets but only the place the last service freed, which
+                # the packet of that service's tick takes.
+                kept += [first + k for k in range(room)]
+                kept += nows[:-1]
+            else:
+                append = kept.append
+                for now in nows:
+                    while first < now and room:
+                        append(first)
+                        first += 1.0
+                        room -= 1
+                    first = now
+                    room += 1
+            queue.clear()
+            queue.extend(kept)
+            flow.tick = nows[-1]
+        index = order[(served - 1) % step]
+        return flows[index], (index + 1) % len(flows), ends[served], tick
 
     def _wake(self, channel: _Channel) -> None:
         """Bring the channel up to now before a mobility step changes what

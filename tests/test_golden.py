@@ -1,4 +1,4 @@
-"""Golden bytes: the metrics CSV of twelve short runs and of two two-point
+"""Golden bytes: the metrics CSV of thirteen short runs and of two two-point
 sweeps, three detection tables, and the transcripts of seven seeded
 handshake sets and of one CLI handshake, pinned by sha256.
 
@@ -140,6 +140,22 @@ tx_rate_kbps = 1048.576
 channel_capacity_kbps = 2097.152
 """
 
+# Four 400 kbps flows per cluster on a 1200 kbps channel keep 200-packet
+# queues backlogged, so the data phase serves whole rounds; fast nodes on
+# short ranges break links while their queues hold packets, and a link
+# that breaks in service drops that packet out of range.
+DEEP_QUEUE_CFG = """\
+clusters = 2
+nodes_per_cluster = 12
+cluster_width = 200
+cluster_height = 200
+flows_per_cluster = 4
+queue_capacity = 200
+radio_ranges = 70, 100
+node_speed_min = 30
+tx_rate_kbps = 400
+"""
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -200,6 +216,11 @@ GOLDEN = {
         BUSY_CFG,
         ["--mode", "sfv-ranging", "--seed", "2", "--duration", "20"],
         "1515fb3bf843b51be5f9e7a8519e76f5677d6cb98e80b4ae678fc92fc4005ad3",
+    ),
+    "deep-queue-ranging": (
+        DEEP_QUEUE_CFG,
+        ["--mode", "sfv-ranging", "--seed", "2", "--duration", "20"],
+        "a28adf4360db10371248f1ebd3f32ceb13b93f14c8f9d756c037b42633a377d0",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Mix functions, seed quantization and the rolling block cipher."""
 
+import math
 import random
 from dataclasses import fields
 
@@ -18,6 +19,7 @@ from sfvsim.keyschedule import (
     seed_from_rtt,
 )
 from sfvsim.model import Block, RangingEvidence, SymmetricId
+from sfvsim.simulator import Scenario
 
 
 def evidence(d=0.0, aoa=0.0, rtt=0.0):
@@ -79,6 +81,16 @@ def test_location_seed_field_packing():
 def test_location_seed_rejects_overflow():
     with pytest.raises(ValueError):
         seed_from_location(evidence(d=2.0**40 / 100.0 + 1.0))
+
+
+def test_location_seed_takes_evidence_at_the_largest_range_a_scenario_accepts():
+    # Evidence that passes the gates lies within the largest radio range,
+    # so no run that starts can overflow the distance field.
+    largest = 10995116277.755  # 1099511627775 cm once rounded half up
+    Scenario(radio_ranges=(largest,))
+    with pytest.raises(ValueError, match="radio_ranges"):
+        Scenario(radio_ranges=(math.nextafter(largest, math.inf),))
+    assert seed_from_location(evidence(d=largest)) == (2**40 - 1) << 16
 
 
 def test_rtt_seed_examples():

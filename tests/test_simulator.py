@@ -505,6 +505,98 @@ def test_a_channel_drained_in_pieces_ends_where_one_drain_ends(seed):
     assert 0 < kept < 3 * 511
 
 
+# Small saturated scenarios for the batched rounds: dyadic intervals make
+# service ends tie arrivals exactly, one- to three-packet queues overflow
+# between services, deep queues stay backlogged, fast nodes on short
+# ranges flip a flow's reach while its queue holds packets, and slow
+# handshakes end in the middle of a channel's data phase.
+ROUND_CASES = {
+    "dyadic-ties": dict(flows_per_cluster=3, queue_capacity=3, sfv_mode="off",
+                        tx_rate_kbps=1048.576, channel_capacity_kbps=2097.152),
+    "one-packet-queues": dict(flows_per_cluster=4, queue_capacity=1, sfv_mode="sfv-ranging",
+                              tx_rate_kbps=1048.576, channel_capacity_kbps=2097.152,
+                              radio_ranges=(60.0, 90.0), node_speed_min=40.0),
+    "two-packet-queues": dict(flows_per_cluster=4, queue_capacity=2, sfv_mode="sfv",
+                              tx_rate_kbps=524.288, channel_capacity_kbps=1048.576,
+                              radio_ranges=(60.0, 90.0), node_speed_min=40.0),
+    "deep-queues-breaking-links": dict(flows_per_cluster=4, queue_capacity=50,
+                                       sfv_mode="sfv-ranging", tx_rate_kbps=400.0,
+                                       radio_ranges=(90.0, 120.0), node_speed_min=30.0),
+    # Long handshakes fill every queue; the channel then drains them faster
+    # than packets arrive, so some rounds see no new packet.
+    "backlogs-draining": dict(flows_per_cluster=3, queue_capacity=50, sfv_mode="sfv-ranging",
+                              tx_rate_kbps=350.0, handshake_base_s=0.25,
+                              radio_ranges=(100.0, 130.0), node_speed_min=40.0),
+    "handshakes-mid-phase": dict(flows_per_cluster=6, queue_capacity=20, sfv_mode="sfv-ranging",
+                                 tx_rate_kbps=300.0, handshake_base_s=0.03125,
+                                 discovery_interval_s=0.05, radio_ranges=(100.0, 130.0),
+                                 node_speed_min=40.0),
+}
+
+
+def _random_round_case(seed):
+    rng = random.Random(seed)
+    kw = dict(clusters=rng.randint(1, 2), flows_per_cluster=rng.randint(1, 8),
+              queue_capacity=rng.choice([1, 2, 3, 50, rng.randint(4, 49)]),
+              sfv_mode=rng.choice(SFV_MODES), radio_ranges=rng.choice([(60.0, 90.0), (150.0,)]),
+              node_speed_min=rng.choice([0.0, 40.0]), master_seed=seed)
+    if rng.random() < 0.3:
+        kw.update(tx_rate_kbps=rng.choice([262.144, 524.288, 1048.576]),
+                  channel_capacity_kbps=rng.choice([1048.576, 2097.152]))
+    else:
+        kw.update(tx_rate_kbps=rng.uniform(100.0, 2000.0),
+                  channel_capacity_kbps=rng.uniform(300.0, 4096.0))
+    if rng.random() < 0.3:
+        kw.update(attacker_fraction=0.1, neighbor_verification=True, noise_distance_m=5.0)
+    return kw
+
+
+def _serve_no_rounds(engine, *args):
+    return None  # leaves every packet to the per-packet loop
+
+
+def _run_in_rounds(monkeypatch, sc, duration_s, rounds=True):
+    """Run sc.  Returns its metrics, every channel's data-plane state and
+    how many packets _serve_rounds served."""
+    served = [0]
+    serve = simulator._Engine._serve_rounds if rounds else _serve_no_rounds
+
+    def counting(engine, flows, *args):
+        before = sum(flow.delivered + flow.dropped_range for flow in flows)
+        result = serve(engine, flows, *args)
+        served[0] += sum(flow.delivered + flow.dropped_range for flow in flows) - before
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator._Engine, "_serve_rounds", counting)
+        engine = simulator._Engine(sc, duration_s)
+        m = engine.execute()
+    return m, [_data_plane_state(channel) for channel in engine.channels], served[0]
+
+
+RANDOM_ROUND_CASES = {f"random-{seed}": _random_round_case(seed) for seed in range(16)}
+
+
+@pytest.mark.parametrize("name", [*ROUND_CASES, *RANDOM_ROUND_CASES])
+def test_rounds_leave_what_the_per_packet_loop_leaves(monkeypatch, name):
+    base = dict(clusters=1, nodes_per_cluster=10, cluster_width=200.0, cluster_height=200.0,
+                master_seed=3)
+    sc = Scenario(**{**base, **ROUND_CASES.get(name, RANDOM_ROUND_CASES.get(name))})
+    batched = _run_in_rounds(monkeypatch, sc, 10.0)
+    per_packet = _run_in_rounds(monkeypatch, sc, 10.0, rounds=False)
+    assert batched[:2] == per_packet[:2]
+    assert per_packet[2] == 0
+    # A round needs two queued packets at every connected flow, which
+    # queues of one or two packets seldom hold when a data phase starts.
+    if name in ROUND_CASES and sc.queue_capacity > 2:
+        assert batched[2] > 0
+
+
+def test_a_default_run_serves_most_packets_in_rounds(monkeypatch):
+    m, _, served = _run_in_rounds(monkeypatch, replace(Scenario(), master_seed=7), 60.0)
+    assert served > 0.9 * (m.delivered + m.dropped_range)
+
+
 def test_a_default_run_drains_its_channels_only_when_something_changes(monkeypatch):
     # Only a channel that holds a handshake runs at every instant; the
     # others run when a mobility step changes a link, and at the end.
