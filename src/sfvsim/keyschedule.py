@@ -81,6 +81,17 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
+def fits_distance_field(metres: float) -> bool:
+    """Whether a distance of `metres` rounds half up to fewer than
+    DISTANCE_FIELD whole centimetres, as seed_from_location requires.
+
+    floor(y) < 2**40 exactly when y < 2**40, so this is _round_half_up's
+    rule without the floor, and a product that overflows to inf is too
+    large rather than an error.
+    """
+    return metres * 100.0 + 0.5 < DISTANCE_FIELD
+
+
 def seed_from_location(evidence: RangingEvidence) -> int:
     """Quantize (distance, angle) into one 64-bit seed.
 
@@ -89,9 +100,9 @@ def seed_from_location(evidence: RangingEvidence) -> int:
     distance << 16 | angle.  Both endpoints must quantize identically or
     their keystreams diverge from block one.
     """
-    distance_q = _round_half_up(evidence.d_radial * 100.0)
-    if distance_q >= DISTANCE_FIELD:
+    if not fits_distance_field(evidence.d_radial):
         raise ValueError(f"distance {evidence.d_radial} m overflows the 40-bit field")
+    distance_q = _round_half_up(evidence.d_radial * 100.0)
     angle_q = _round_half_up(evidence.aoa * 100.0)
     return (distance_q << 16) | angle_q
 

@@ -29,7 +29,7 @@ from .adversary import (
     sybil_attempt,
     wormhole_perturb,
 )
-from .keyschedule import DISTANCE_FIELD, _round_half_up
+from .keyschedule import DISTANCE_FIELD, fits_distance_field
 from .model import ID_BITS, IdPool, draw_distinct_ids
 from .protocol import HandshakeConfig, run_handshake
 from .ranging import ScanPlan, evidence_for_link, scan_for_neighbor
@@ -143,7 +143,7 @@ class Scenario:
             raise ValueError(f"radio ranges must be positive: {self.radio_ranges}")
         # Evidence that passes the gates lies within the largest range, so
         # its distance then fits the location seed's centimetre field.
-        if _round_half_up(self.radio_ranges[-1] * 100.0) >= DISTANCE_FIELD:
+        if not fits_distance_field(self.radio_ranges[-1]):
             raise ValueError(f"radio_ranges must round to fewer than {DISTANCE_FIELD} whole cm, "
                              f"the location seed's distance field: {self.radio_ranges}")
         if self.sfv_mode not in SFV_MODES:
@@ -826,9 +826,12 @@ class _Engine:
         order from rr, once per round.  The service ends are the per-packet
         loop's own sums of data_time from done, and each end gets the tick
         that loop walks to.  The services that end before until run flow by
-        flow, each flow's in its own order.  Every packet they serve was
-        queued already, so a flow's delays come first, and then its takes,
-        by _Flow.take's room rule, only append.  The first service that
+        flow, each flow's in its own order.  A connected flow reaches dst,
+        since the mobility step that finds it out of range disconnects it,
+        so each of them delivers its packet.  Every packet they serve was
+        queued already, so a flow's delays and pops come first, and then
+        its takes, by _Flow.take's room rule, only append; the room counts
+        the queue before the pops.  The first service that
         ends at or after until is left to the per-packet loop.  Returns the
         last flow served, rr, done and tick as that loop would leave them,
         or None when no service ends before until.
@@ -867,25 +870,22 @@ class _Engine:
             times = ends[offset + 1:served + 1:step]
             nows = ticks[offset::step]
             count = len(times)
-            if flow.reach:
-                delay = flow.total_delay
-                for end, sent in zip(times, queue):
-                    delay += end - sent * gen_interval
-                flow.total_delay = delay
-                flow.delivered += count
-            else:
-                flow.dropped_range += count
-            first = flow.tick
             room = capacity - len(queue)
-            kept = list(islice(queue, count, None))
+            popleft = queue.popleft
+            delay = flow.total_delay
+            for end in times:
+                delay += end - popleft() * gen_interval
+            flow.total_delay = delay
+            flow.delivered += count
+            first = flow.tick
             if room <= nows[0] - first and not repeats:
                 # The first take fills the queue.  Every later one finds new
                 # packets but only the place the last service freed, which
                 # the packet of that service's tick takes.
-                kept += [first + k for k in range(room)]
-                kept += nows[:-1]
+                queue.extend([first + k for k in range(room)])
+                queue.extend(nows[:-1])
             else:
-                append = kept.append
+                append = queue.append
                 for now in nows:
                     while first < now and room:
                         append(first)
@@ -893,8 +893,6 @@ class _Engine:
                         room -= 1
                     first = now
                     room += 1
-            queue.clear()
-            queue.extend(kept)
             flow.tick = nows[-1]
         index = order[(served - 1) % step]
         return flows[index], (index + 1) % len(flows), ends[served], tick

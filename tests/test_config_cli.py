@@ -313,11 +313,13 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "master_seed = -7\n",
     "master_seed = 18446744073709551616\n",
     "radio_ranges = 1.1e10\n",
+    "radio_ranges = 1e307\n",  # its centimetres overflow to inf
 ], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell",
         "clusters-overflow", "nodes-beyond-cap", "flows-beyond-cap", "step-subnormal",
         "step-beyond-cap", "pause-beyond-cap", "ticks-beyond-cap", "attack-waves-beyond-cap",
         "duration-beyond-cap", "ids-beyond-cap", "attacker-ids-beyond-cap",
-        "seed-negative", "seed-beyond-64-bits", "range-beyond-location-seed"])
+        "seed-negative", "seed-beyond-64-bits", "range-beyond-location-seed",
+        "range-cm-overflow"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
                                                             no_simulation, capsys):
     cfg = tmp_path / "s.cfg"

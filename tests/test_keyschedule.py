@@ -12,6 +12,7 @@ from sfvsim.keyschedule import (
     _exchange,
     decrypt_block,
     encrypt_block,
+    fits_distance_field,
     init_session,
     rng1,
     rng2,
@@ -91,6 +92,23 @@ def test_location_seed_takes_evidence_at_the_largest_range_a_scenario_accepts():
     with pytest.raises(ValueError, match="radio_ranges"):
         Scenario(radio_ranges=(math.nextafter(largest, math.inf),))
     assert seed_from_location(evidence(d=largest)) == (2**40 - 1) << 16
+
+
+@pytest.mark.parametrize("metres,fits", [
+    (10995116277.755, True),
+    (math.nextafter(10995116277.755, math.inf), False),
+    (1e307, False),  # its centimetres overflow to inf
+])
+def test_scenario_and_location_seed_share_the_distance_field_rule(metres, fits):
+    assert fits_distance_field(metres) is fits
+    if fits:
+        Scenario(radio_ranges=(metres,))
+        seed_from_location(evidence(d=metres))
+    else:
+        with pytest.raises(ValueError, match="radio_ranges"):
+            Scenario(radio_ranges=(metres,))
+        with pytest.raises(ValueError, match="40-bit"):
+            seed_from_location(evidence(d=metres))
 
 
 def test_rtt_seed_examples():
