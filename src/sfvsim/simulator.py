@@ -41,9 +41,8 @@ MAX_NODES = 100_000
 # The most mobility steps, CBR ticks or attack waves one run may take; the
 # reference 60 s run takes 2,400 steps and 14,648 ticks.
 MAX_STEPS = 100_000_000
-# The most round-robin rounds _Engine._serve_rounds serves in one batch, so
-# that a deep queue_capacity does not size its lists.
-MAX_ROUNDS = 64
+# The most packets a run's queues may hold at once, some 400 MB of them.
+MAX_QUEUED = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -326,15 +325,17 @@ def step_mobility(walk: RandomWaypoint, nodes, step: int) -> None:
 
 
 def check_run(scenario: Scenario, duration_s: float) -> None:
-    """Refuse a run of duration_s that is not positive and finite, or that
-    would take more than MAX_STEPS mobility steps, CBR ticks or attack waves.
+    """Refuse a run of duration_s that is not positive and finite, that
+    would take more than MAX_STEPS mobility steps, CBR ticks or attack waves,
+    or whose queues could hold more than MAX_QUEUED packets.
 
     The engine calls it first; a sweep calls it on every point before any runs.
     """
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration must be positive and finite: {duration_s}")
     intervals = [("mobility steps", "mobility_step_s", scenario.mobility_step_s)]
-    if scenario.packet_interval is not None and scenario.flows_per_cluster > 0:
+    cbr = scenario.packet_interval is not None and scenario.flows_per_cluster > 0
+    if cbr:
         intervals.append(("CBR ticks", "tx_rate_kbps", scenario.packet_interval))
     if round(scenario.attacker_fraction * scenario.nodes_per_cluster) > 0:
         intervals.append(("attack waves", "attack_interval_s", scenario.attack_interval_s))
@@ -342,6 +343,16 @@ def check_run(scenario: Scenario, duration_s: float) -> None:
         if interval * MAX_STEPS < duration_s:
             raise ValueError(f"duration_s = {float(duration_s)} needs more than {MAX_STEPS} "
                              f"{what} at this {key}: {getattr(scenario, key)}")
+    if cbr:
+        ticks = math.floor(duration_s / scenario.packet_interval)
+        flows = scenario.clusters * scenario.flows_per_cluster
+        if flows * min(scenario.queue_capacity, ticks) > MAX_QUEUED:
+            raise ValueError(
+                f"clusters x flows_per_cluster x min(queue_capacity, CBR ticks) exceeds "
+                f"{MAX_QUEUED} queued packets: {scenario.clusters} x "
+                f"{scenario.flows_per_cluster} x min({scenario.queue_capacity}, {ticks}), "
+                f"the ticks of duration_s = {float(duration_s)} at tx_rate_kbps = "
+                f"{scenario.tx_rate_kbps}")
 
 
 def cluster_rects(scenario: Scenario) -> list[tuple[float, float, float, float]]:
@@ -713,7 +724,7 @@ class _Engine:
         When the data phase starts, and whenever a served packet leaves two
         or more in its queue, the loop asks whether every connected flow
         holds b >= 2 queued packets; if so _serve_rounds serves the next b
-        rounds, whose order is then fixed, as one batch.
+        rounds, whose order is then fixed, as one batch, up to until.
         """
         gen_interval = self.gen_interval
         tick = channel.tick
@@ -740,12 +751,9 @@ class _Engine:
                     live = [index for index, flow in enumerate(flows) if flow.connected]
                     queues = [flows[index].queue for index in live]
                 rounds = min(map(len, queues), default=0)
-                if rounds > 1:
-                    served = self._serve_rounds(flows, live, rr, min(rounds, MAX_ROUNDS),
-                                                done, tick, until)
-                    if served is not None:
-                        job, rr, done, tick = served
-                        at = tick * gen_interval
+                if rounds > 1 and done + data_time < until:
+                    rr, done, tick = self._serve_rounds(flows, live, rr, rounds, done, tick, until)
+                    at = tick * gen_interval
             index = rr
             stop = rr + scan
             while index < stop:
@@ -818,34 +826,34 @@ class _Engine:
 
     def _serve_rounds(self, flows: list[_Flow], live: list[int], rr: int, rounds: int,
                       done: float, tick: float, until: float):
-        """Serve `rounds` round-robin rounds of a data phase as one batch.
+        """Serve, as one batch, the services of `rounds` round-robin rounds
+        of a data phase that end before until; the caller checks the first.
 
         live lists the indices of the connected flows in flow order, and
         each of their queues holds at least `rounds` packets, so each has a
         packet at its turn in every round: the rounds serve live in ring
         order from rr, once per round.  The service ends are the per-packet
         loop's own sums of data_time from done, and each end gets the tick
-        that loop walks to.  The services that end before until run flow by
-        flow, each flow's in its own order.  A connected flow reaches dst,
-        since the mobility step that finds it out of range disconnects it,
-        so each of them delivers its packet.  Every packet they serve was
-        queued already, so a flow's delays and pops come first, and then
-        its takes, by _Flow.take's room rule, only append; the room counts
-        the queue before the pops.  The first service that
-        ends at or after until is left to the per-packet loop.  Returns the
-        last flow served, rr, done and tick as that loop would leave them,
-        or None when no service ends before until.
+        that loop walks to.  The services run flow by flow, each flow's in
+        its own order.  A connected flow reaches dst, since the mobility
+        step that finds it out of range disconnects it, so each of them
+        delivers its packet.  Every packet they serve was queued already,
+        so a flow's delays and pops come first, and then its takes, by
+        _Flow.take's room rule, only append; the room counts the queue
+        before the pops.  The first service that ends at or after until is
+        left to the per-packet loop.  Returns rr, done and tick as that
+        loop would leave them.
         """
         gen_interval = self.gen_interval
         capacity = self.sc.queue_capacity
         cut = bisect_left(live, rr)
         order = live[cut:] + live[:cut]
         step = len(order)
-        # The same float additions as the per-packet loop's done += data_time.
-        ends = list(accumulate(repeat(self.data_time, rounds * step), initial=done))
+        # The loop's own done += data_time, for no more services than the
+        # queues hold or than reach the first end at or after until.
+        size = min(rounds * step, (until - done) / self.data_time + 1)
+        ends = list(accumulate(repeat(self.data_time, int(size)), initial=done))
         served = bisect_left(ends, until, 1) - 1
-        if not served:
-            return None
         ticks = []
         append = ticks.append
         at = tick * gen_interval
@@ -894,8 +902,7 @@ class _Engine:
                     first = now
                     room += 1
             flow.tick = nows[-1]
-        index = order[(served - 1) % step]
-        return flows[index], (index + 1) % len(flows), ends[served], tick
+        return (order[(served - 1) % step] + 1) % len(flows), ends[served], tick
 
     def _wake(self, channel: _Channel) -> None:
         """Bring the channel up to now before a mobility step changes what

@@ -1,5 +1,6 @@
 """Configuration parsing and command-line surface."""
 
+import functools
 import math
 from pathlib import Path
 
@@ -194,6 +195,116 @@ def test_every_config_key_changes_the_scenario(key):
     assert changed != build_scenario(base)[0]
 
 
+# The probe that tells a live key from a dead one: fast nodes break short
+# links on two clusters, with neighbour verification, mixed attackers and
+# noise on every measurement.
+LIVENESS_CFG = """\
+clusters = 2
+nodes_per_cluster = 20
+cluster_width = 300
+cluster_height = 300
+flows_per_cluster = 4
+radio_ranges = 100, 150
+node_speed_min = 40
+queue_capacity = 5
+sfv_mode = sfv-ranging
+neighbor_verification = on
+attacker_fraction = 0.2
+attacker_kind = mixed
+noise_distance_m = 5
+noise_angle_deg = 30
+noise_rtt_s = 2e-8
+master_seed = 3
+duration_s = 10
+"""
+
+# Values that must change the probe's metrics, or be refused.
+LIVE_VALUES = {
+    "clusters": (1,), "cluster_width": (200.0,), "cluster_height": (200.0,),
+    "nodes_per_cluster": (10,), "radio_ranges": ((100.0, 200.0),), "tx_rate_kbps": (500.0,),
+    "packet_size_bytes": (256,), "node_speed_min": (10.0,), "node_speed_max": (45.0,),
+    "sfv_mode": ("off", "sfv"), "master_seed": (4,), "queue_capacity": (10,),
+    "channel_capacity_kbps": (600.0,), "flows_per_cluster": (2,), "n_ids": (1,),
+    "processing_budget_s": (1e-9,),  # below the probe's RTT noise
+    "aoa_halfwidth_deg": (10.0,), "handshake_base_s": (0.02,),
+    "handshake_attempt_extra_s": (0.0,), "mobility_step_s": (0.05,),
+    "discovery_interval_s": (0.5,), "pause_s": (1.0,), "attacker_fraction": (0.1,),
+    "attacker_kind": ("sybil", "wormhole", "replay"),  # replay: refused without a profile
+    "attack_interval_s": (0.5,), "neighbor_verification": (False,),
+    "noise_distance_m": (0.0,),
+    "noise_angle_deg": (60.0,),  # beyond the 45 degree AoA half-width
+    "noise_rtt_s": (1e-5,),  # beyond the 5 us processing budget
+    "duration_s": (5.0,),
+}
+
+# The replay profile acts on replay attackers only: each key's two values,
+# on the probe with replay attackers and the other keys given, must give
+# two different runs.
+REPLAY_VALUES = {
+    "detection_probability": ({}, (0.35, 0.95)),
+    "p_wormhole": ({"p_id_replay": 0.3, "p_rtt_replay": 0.3}, (0.1, 0.9)),
+    "p_id_replay": ({"p_wormhole": 0.3, "p_rtt_replay": 0.3}, (0.1, 0.9)),
+    "p_rtt_replay": ({"p_wormhole": 0.3, "p_id_replay": 0.3}, (0.1, 0.9)),
+}
+
+# Keys that no value changes yet, with the values that show it.  When a
+# ROADMAP item makes one live, it moves to LIVE_VALUES.
+DEAD_KEYS = {
+    # The terrain only places the cluster grid (one too small for the
+    # clusters is refused), and every distance is taken inside a cluster;
+    # item 11 decides whether a border should matter or the keys go.
+    "terrain_width": (700.0, 2e9),
+    "terrain_height": (700.0, 2e9),
+    # Item 11 charges a handshake's blocks and probes at the channel rate;
+    # item 5 also builds each end's evidence from n_ranging probes.
+    "m_blocks": (1, 8),
+    "n_ranging": (1, 16),
+    # A retry judges the same fixed measurement until item 5's evidence
+    # source measures again.
+    "retry_limit": (0, 5),
+    # Every wormhole fails the block check on foreign IDs until item 6
+    # relays an honest node, when the RTT gate decides.
+    "tunnel_latency_s": (1e-9, 1.0),
+}
+
+
+@functools.cache
+def _probe(*items):
+    """The probe's metrics with these (key, value) pairs set, or None when
+    the configuration is refused."""
+    try:
+        scenario, duration = build_scenario({**parse_config_text(LIVENESS_CFG), **dict(items)})
+        simulator.check_run(scenario, duration)
+    except ValueError:
+        return None
+    return simulator.run_scenario(scenario, duration)
+
+
+def test_every_config_key_is_probed_once():
+    groups = (LIVE_VALUES, REPLAY_VALUES, DEAD_KEYS)
+    assert sum(map(len, groups)) == len(_SCHEMA)
+    assert set().union(*groups) == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("key", list(LIVE_VALUES))
+def test_a_live_key_changes_the_metrics_or_is_refused(key):
+    assert _probe() is not None
+    assert any(_probe((key, value)) != _probe() for value in LIVE_VALUES[key])
+
+
+@pytest.mark.parametrize("key", list(REPLAY_VALUES))
+def test_a_replay_key_changes_the_metrics_of_replay_attackers(key):
+    given, (low, high) = REPLAY_VALUES[key]
+    runs = [_probe(("attacker_kind", "replay"), *given.items(), (key, value))
+            for value in (low, high)]
+    assert None not in runs and runs[0] != runs[1]
+
+
+@pytest.mark.parametrize("key", list(DEAD_KEYS))
+def test_a_dead_key_changes_nothing_yet(key):
+    assert all(_probe((key, value)) == _probe() for value in DEAD_KEYS[key])
+
+
 def test_readme_example_config_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("Keys mirror")[1].split("```")[1]
@@ -314,12 +425,15 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     "master_seed = 18446744073709551616\n",
     "radio_ranges = 1.1e10\n",
     "radio_ranges = 1e307\n",  # its centimetres overflow to inf
+    # 2e7 ticks on 20 flows would queue 4e8 packets, some 15 GB.
+    "queue_capacity = 1000000000\ntx_rate_kbps = 4096\nchannel_capacity_kbps = 1\n"
+    "duration_s = 20000\n",
 ], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell",
         "clusters-overflow", "nodes-beyond-cap", "flows-beyond-cap", "step-subnormal",
         "step-beyond-cap", "pause-beyond-cap", "ticks-beyond-cap", "attack-waves-beyond-cap",
         "duration-beyond-cap", "ids-beyond-cap", "attacker-ids-beyond-cap",
         "seed-negative", "seed-beyond-64-bits", "range-beyond-location-seed",
-        "range-cm-overflow"])
+        "range-cm-overflow", "queued-beyond-cap"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
                                                             no_simulation, capsys):
     cfg = tmp_path / "s.cfg"

@@ -156,6 +156,12 @@ node_speed_min = 30
 tx_rate_kbps = 400
 """
 
+# Thirty such flows per cluster keep 1000-packet queues backlogged, so a
+# batch's rounds run into the drain's limit long before its queues run
+# dry, and links break while queues hold hundreds of packets.
+WIDE_DEEP_QUEUE_CFG = DEEP_QUEUE_CFG.replace("flows_per_cluster = 4", "flows_per_cluster = 30") \
+    .replace("queue_capacity = 200", "queue_capacity = 1000")
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -221,6 +227,11 @@ GOLDEN = {
         DEEP_QUEUE_CFG,
         ["--mode", "sfv-ranging", "--seed", "2", "--duration", "20"],
         "a28adf4360db10371248f1ebd3f32ceb13b93f14c8f9d756c037b42633a377d0",
+    ),
+    "wide-deep-queue-ranging": (
+        WIDE_DEEP_QUEUE_CFG,
+        ["--mode", "sfv-ranging", "--seed", "2", "--duration", "20"],
+        "0e869fc7d59a916672c57100eaf2049be146eb384ff0dfac9959592fbe5cd917",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Mobility, the event engine, and the network-shape properties."""
 
 import hashlib
+import itertools
 import math
 import random
 import statistics
@@ -12,9 +13,11 @@ from sfvsim import model, simulator
 from sfvsim.adversary import ReplayProfile
 from sfvsim.analytics import detection_rate
 from sfvsim.simulator import (
+    MAX_QUEUED,
     SFV_MODES,
     RandomWaypoint,
     Scenario,
+    check_run,
     cluster_rects,
     leg_variates,
     run_scenario,
@@ -527,10 +530,19 @@ ROUND_CASES = {
     "backlogs-draining": dict(flows_per_cluster=3, queue_capacity=50, sfv_mode="sfv-ranging",
                               tx_rate_kbps=350.0, handshake_base_s=0.25,
                               radio_ranges=(100.0, 130.0), node_speed_min=40.0),
-    # Queues deeper than MAX_ROUNDS need several batches to drain.
-    "queues-deeper-than-a-batch": dict(flows_per_cluster=3, queue_capacity=200,
-                                       sfv_mode="sfv-ranging", tx_rate_kbps=700.0,
-                                       radio_ranges=(90.0, 120.0), node_speed_min=30.0),
+    # 200-packet queues outlast the time to the drain's limit, so that
+    # limit, not the queues, cuts their batches.
+    "queues-cut-at-the-drain-limit": dict(flows_per_cluster=3, queue_capacity=200,
+                                          sfv_mode="sfv-ranging", tx_rate_kbps=700.0,
+                                          radio_ranges=(90.0, 120.0), node_speed_min=30.0),
+    # 1000-packet queues on a wide and on a narrow channel: links break
+    # while their queues hold hundreds of packets.
+    "thirty-flows-deep-queues": dict(flows_per_cluster=30, queue_capacity=1000,
+                                     sfv_mode="sfv-ranging", tx_rate_kbps=400.0,
+                                     radio_ranges=(90.0, 120.0), node_speed_min=30.0),
+    "two-flows-deep-queues": dict(flows_per_cluster=2, queue_capacity=1000,
+                                  sfv_mode="sfv-ranging", tx_rate_kbps=700.0,
+                                  radio_ranges=(60.0, 90.0), node_speed_min=40.0),
     "handshakes-mid-phase": dict(flows_per_cluster=6, queue_capacity=20, sfv_mode="sfv-ranging",
                                  tx_rate_kbps=300.0, handshake_base_s=0.03125,
                                  discovery_interval_s=0.05, radio_ranges=(100.0, 130.0),
@@ -555,8 +567,8 @@ def _random_round_case(seed):
     return kw
 
 
-def _serve_no_rounds(engine, *args):
-    return None  # leaves every packet to the per-packet loop
+def _serve_no_rounds(engine, flows, live, rr, rounds, done, tick, until):
+    return rr, done, tick  # leaves every packet to the per-packet loop
 
 
 def _run_in_rounds(monkeypatch, sc, duration_s, rounds=True):
@@ -582,13 +594,19 @@ def _run_in_rounds(monkeypatch, sc, duration_s, rounds=True):
 
 
 RANDOM_ROUND_CASES = {f"random-{seed}": _random_round_case(seed) for seed in range(16)}
+DEEP_ROUND_CASES = ["queues-cut-at-the-drain-limit", "thirty-flows-deep-queues",
+                    "two-flows-deep-queues"]
+
+
+def _round_scenario(name):
+    base = dict(clusters=1, nodes_per_cluster=10, cluster_width=200.0, cluster_height=200.0,
+                master_seed=3)
+    return Scenario(**{**base, **ROUND_CASES.get(name, RANDOM_ROUND_CASES.get(name))})
 
 
 @pytest.mark.parametrize("name", [*ROUND_CASES, *RANDOM_ROUND_CASES])
 def test_rounds_leave_what_the_per_packet_loop_leaves(monkeypatch, name):
-    base = dict(clusters=1, nodes_per_cluster=10, cluster_width=200.0, cluster_height=200.0,
-                master_seed=3)
-    sc = Scenario(**{**base, **ROUND_CASES.get(name, RANDOM_ROUND_CASES.get(name))})
+    sc = _round_scenario(name)
     batched = _run_in_rounds(monkeypatch, sc, 10.0)
     per_packet = _run_in_rounds(monkeypatch, sc, 10.0, rounds=False)
     assert batched[:2] == per_packet[:2]
@@ -597,6 +615,54 @@ def test_rounds_leave_what_the_per_packet_loop_leaves(monkeypatch, name):
     # queues of one or two packets seldom hold when a data phase starts.
     if name in ROUND_CASES and sc.queue_capacity > 2:
         assert batched[2] > 0
+
+
+@pytest.mark.parametrize("name", [*ROUND_CASES, *RANDOM_ROUND_CASES])
+def test_a_batch_sums_at_most_two_ends_it_does_not_serve(monkeypatch, name):
+    summed = []
+
+    def counting_accumulate(*args, **kwargs):
+        ends = list(itertools.accumulate(*args, **kwargs))
+        summed.append(len(ends) - 1)  # the service ends after the initial done
+        return ends
+
+    batches = []
+    serve = simulator._Engine._serve_rounds
+
+    def counting(engine, flows, live, rr, rounds, *args):
+        before = sum(flow.delivered for flow in flows)
+        result = serve(engine, flows, live, rr, rounds, *args)
+        batches.append((rounds * len(live), sum(flow.delivered for flow in flows) - before))
+        return result
+
+    monkeypatch.setattr(simulator, "accumulate", counting_accumulate)
+    monkeypatch.setattr(simulator._Engine, "_serve_rounds", counting)
+    simulator._Engine(_round_scenario(name), 10.0).execute()
+    assert len(summed) == len(batches)
+    # Every batch serves, sums no end beyond its queues, and no more than
+    # two past the last one it serves: the first at or after the drain's
+    # limit, and one more where an end falls on that limit exactly.
+    for ends, (queued, served) in zip(summed, batches):
+        assert 1 <= served <= ends <= min(queued, served + 2)
+    if name in DEEP_ROUND_CASES:
+        assert any(served + 2 < queued for queued, served in batches)
+
+
+@pytest.mark.parametrize("name", DEEP_ROUND_CASES)
+def test_deep_queue_cases_break_links_while_backlogged(monkeypatch, name):
+    depths = []
+    handle = simulator._Engine._handle_mob
+
+    def breaking(engine, step_index):
+        was = [flow.connected for flow in engine.flows]
+        handle(engine, step_index)
+        depths.extend(len(flow.queue) for flow, connected in zip(engine.flows, was)
+                      if connected and not flow.connected)
+
+    monkeypatch.setattr(simulator._Engine, "_handle_mob", breaking)
+    simulator._Engine(_round_scenario(name), 10.0).execute()
+    # A link breaks while its queue holds a hundred packets or more.
+    assert any(depth >= 100 for depth in depths)
 
 
 def test_a_default_run_serves_most_packets_in_rounds(monkeypatch):
@@ -838,6 +904,23 @@ def test_flows_are_capped_like_the_population():
     with pytest.raises(ValueError, match="1000 x 101"):
         desk(flows_per_cluster=101, **cells)
     assert desk(flows_per_cluster=100, **cells).flows_per_cluster == 100
+
+
+def test_queued_packets_are_capped_before_a_run():
+    # A flow's queue holds at most min(queue_capacity, CBR ticks) packets,
+    # so a run whose flows could hold more than MAX_QUEUED is refused.
+    sc = Scenario(queue_capacity=500_000)  # 10 x 2 flows, 4.096 ms ticks
+    assert 10 * 2 * 500_000 == MAX_QUEUED
+    check_run(sc, 3000.0)
+    with pytest.raises(ValueError, match=r"queue_capacity.*10 x 2 x min\(500001, 732421\)"):
+        check_run(replace(sc, queue_capacity=500_001), 3000.0)
+    # A queue deeper than the run's ticks holds only those.
+    deep = replace(sc, queue_capacity=10 ** 9)
+    check_run(deep, 2048.001)  # 500,000 ticks
+    with pytest.raises(ValueError, match="tx_rate_kbps = 1000.0"):
+        check_run(deep, 2048.01)
+    check_run(replace(deep, tx_rate_kbps=0.0), 3000.0)  # no packets, no queues
+    check_run(replace(deep, flows_per_cluster=0), 3000.0)
 
 
 def test_ranging_mode_scans_and_shakes_more():
