@@ -4,7 +4,10 @@ Blank lines and `#` comments are ignored.  Every key is optional.  The
 keys are the field names of Scenario and of its nested HandshakeConfig and
 ReplayProfile, plus duration_s and detection_probability; unknown keys are
 rejected so typos fail loudly.  List-valued keys take comma-separated
-entries.
+entries.  The replay-profile keys (detection_probability, p_wormhole,
+p_id_replay, p_rtt_replay) act only on replay attackers: a Scenario with
+attackers of another kind refuses them, and one with no attackers accepts
+them, inert.
 """
 
 from __future__ import annotations

@@ -153,11 +153,16 @@ class Scenario:
             raise ValueError(f"unknown attacker kind: {self.attacker_kind!r}")
         if self.attacker_kind == "replay" and self.attacker_fraction > 0 and self.replay_profile is None:
             raise ValueError("replay attackers need a replay_profile")
+        attackers = round(self.attacker_fraction * self.nodes_per_cluster)  # per cluster
+        # Only replay attackers read the profile; with no attackers it is inert.
+        if self.replay_profile is not None and self.attacker_kind != "replay" and attackers:
+            raise ValueError(f"a replay_profile (detection_probability or p_wormhole, "
+                             f"p_id_replay, p_rtt_replay) acts only on replay attackers, "
+                             f"not attacker_kind = {self.attacker_kind!r}")
         # The honest pool and each claiming attacker draw n_ids distinct IDs.
         # Up to half the ID space, every draw succeeds with probability at
         # least 1/2, so the build's rejection sampling ends quickly.
-        claimants = 0 if self.attacker_kind == "replay" else self.clusters * round(
-            self.attacker_fraction * self.nodes_per_cluster)
+        claimants = 0 if self.attacker_kind == "replay" else self.clusters * attackers
         if self.n_ids * (1 + claimants) > 1 << (ID_BITS - 1):
             raise ValueError(f"n_ids = {self.n_ids} for the honest pool and {claimants} claiming "
                              f"attackers needs more than {1 << (ID_BITS - 1)} distinct ids")
@@ -382,16 +387,19 @@ class _Flow:
     for, keeps and drops exactly the packets that taking each on arrival
     would.  reach says whether a packet served now would find dst within
     selected_range (positions and ranges only change at mobility steps and
-    handshake ends, which refresh it).
+    handshake ends, which refresh it; an idle flow's only on the steps
+    that examine it).
 
     due is the first mobility step on which _Engine._handle_mob examines
-    the flow again.  An unconnected or handshaking flow stays due on every
-    step, so a flow that a handshake's end (or, in off mode, discovery)
-    connects is due on the next step.  A connected flow found at distance
+    the flow again.  A handshaking flow stays due on every step, so a flow
+    that a handshake's end (or, in off mode, discovery) connects is due on
+    the next step.  An idle flow, neither connected nor handshaking, is due
+    on the next discovery epoch, or on the next step while its own packet
+    is still in service past this one.  A connected flow found at distance
     d inside its range r holds for floor((r - d - round_off) / closing)
-    steps, since d can grow by at most closing per step (see _Engine), and
-    is due on the step after those; with motionless nodes it is never due
-    again.
+    steps, since d can grow by at most closing per step, and is due on the
+    step after those; with motionless nodes it is never due again (see
+    _Engine for both rules).
     """
 
     __slots__ = (
@@ -515,8 +523,15 @@ class _Engine:
     skips the steps its slack to its range covers (_Flow.due); round_off,
     2^-40 of the terrain's extent plus the largest range, absorbs the
     rounding of the closed-form positions, of hypot and of the quotient,
-    a few ulps of the coordinates each.  calendar files each flow under
-    the next step it is due on; that step examines its flows in flow order.
+    a few ulps of the coordinates each.  An idle flow changes only at a
+    discovery epoch: only _try_connect on an epoch and _finish connect a
+    flow, and _finish connects a handshaking one, which stays due on every
+    step.  Its reach is read only by its own packet that was in service
+    when its link broke, so it stays due on every step while that packet
+    ends after the step (one ending at exactly now reads this step's
+    reach), and a _wake for an idle flow's reach flip changes nothing.
+    calendar files each flow under the next step it is due on; that step
+    examines its flows in flow order.
 
     Credentials are held once, and a handshake end is its ID pool.  pools
     holds each node's one pool (None for a replay attacker, which presents
@@ -934,10 +949,11 @@ class _Engine:
         self.mob_step = step_index
         for i in due:
             flow = flows[i]
+            channel = self.channels[flow.cluster]
             distance = self._distance(flow.src, flow.dst)
             if flow.connected:
                 if distance > flow.selected_range:
-                    self._wake(self.channels[flow.cluster])
+                    self._wake(channel)
                     flow.connected = False
                 else:  # the link holds for as many steps as its slack covers
                     slack = flow.selected_range - distance - self.round_off
@@ -947,8 +963,11 @@ class _Engine:
                 self._try_connect(flow, distance)
             reach = distance <= flow.selected_range
             if reach != flow.reach:
-                self._wake(self.channels[flow.cluster])
+                self._wake(channel)
                 flow.reach = reach
+            if not (flow.connected or flow.handshaking
+                    or channel.job is flow and channel.done > self.now):
+                flow.due = step_index - step_index % self.epoch_every + self.epoch_every
             self.calendar.setdefault(max(flow.due, step_index + 1), []).append(i)
         if epoch and self.sc.neighbor_verification:
             self._verify_neighbors()

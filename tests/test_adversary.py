@@ -133,9 +133,9 @@ def test_disjointness_check():
     ("replay", 2, 0.1, 7, dict.fromkeys((4, 18, 32, 39), "replay")),
 ])
 def test_attacker_kinds_follow_attacker_order(kind, clusters, fraction, seed, expected):
+    profile = ReplayProfile.calibrated() if kind == "replay" else None
     sc = simulator.Scenario(clusters=clusters, nodes_per_cluster=20, attacker_fraction=fraction,
-                            attacker_kind=kind, replay_profile=ReplayProfile.calibrated(),
-                            master_seed=seed)
+                            attacker_kind=kind, replay_profile=profile, master_seed=seed)
     engine = simulator._Engine(sc, 1.0)
     assert engine.attacker_kinds == expected
     # A wormhole presents a plain pool; a replay attacker presents no

@@ -151,6 +151,25 @@ def test_build_scenario_calibrated_replay_profile():
     assert math.isclose(product, 0.35, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["sybil", "wormhole", "mixed"])
+def test_a_replay_profile_is_refused_with_other_attackers_and_inert_without_any(kind):
+    profile = {"detection_probability": 0.5}
+    with pytest.raises(ValueError, match=f"replay attackers, not attacker_kind = '{kind}'"):
+        build_scenario({**profile, "attacker_kind": kind, "attacker_fraction": 0.1,
+                        "nodes_per_cluster": 20})
+    # 0.01 of 20 nodes rounds to no attacker, so nothing reads the profile.
+    for fraction in (0.0, 0.01):
+        scenario, _ = build_scenario({**profile, "attacker_kind": kind,
+                                      "attacker_fraction": fraction, "nodes_per_cluster": 20})
+        bare, _ = build_scenario({"attacker_kind": kind, "attacker_fraction": fraction,
+                                  "nodes_per_cluster": 20})
+        assert scenario.replay_profile is not None
+        assert simulator.run_scenario(scenario, 1.0) == simulator.run_scenario(bare, 1.0)
+    scenario, _ = build_scenario({**profile, "attacker_kind": "replay",
+                                  "attacker_fraction": 0.1, "nodes_per_cluster": 20})
+    assert scenario.replay_profile == ReplayProfile.calibrated(0.5)
+
+
 def test_build_scenario_explicit_beats_calibrated():
     scenario, _ = build_scenario({
         "p_wormhole": 0.1, "p_id_replay": 0.2, "p_rtt_replay": 0.3,
@@ -428,12 +447,17 @@ def test_cli_run_non_finite_input_exits_2_before_simulating(config, flags, tmp_p
     # 2e7 ticks on 20 flows would queue 4e8 packets, some 15 GB.
     "queue_capacity = 1000000000\ntx_rate_kbps = 4096\nchannel_capacity_kbps = 1\n"
     "duration_s = 20000\n",
+    # Only replay attackers read a replay profile.
+    "detection_probability = 0.5\nattacker_fraction = 0.1\n",
+    "p_wormhole = 0.1\np_id_replay = 0.2\np_rtt_replay = 0.3\nattacker_fraction = 0.05\n"
+    "attacker_kind = wormhole\n",
 ], ids=["aoa-zero", "aoa-500", "budget-negative", "pause-negative", "cluster-wider-than-cell",
         "clusters-overflow", "nodes-beyond-cap", "flows-beyond-cap", "step-subnormal",
         "step-beyond-cap", "pause-beyond-cap", "ticks-beyond-cap", "attack-waves-beyond-cap",
         "duration-beyond-cap", "ids-beyond-cap", "attacker-ids-beyond-cap",
         "seed-negative", "seed-beyond-64-bits", "range-beyond-location-seed",
-        "range-cm-overflow", "queued-beyond-cap"])
+        "range-cm-overflow", "queued-beyond-cap", "calibrated-profile-mixed",
+        "explicit-profile-wormhole"])
 def test_cli_run_out_of_range_knob_exits_2_before_simulating(config, tmp_path,
                                                             no_simulation, capsys):
     cfg = tmp_path / "s.cfg"

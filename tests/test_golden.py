@@ -1,4 +1,4 @@
-"""Golden bytes: the metrics CSV of thirteen short runs and of two two-point
+"""Golden bytes: the metrics CSV of fifteen short runs and of two two-point
 sweeps, three detection tables, and the transcripts of seven seeded
 handshake sets and of one CLI handshake, pinned by sha256.
 
@@ -162,6 +162,24 @@ tx_rate_kbps = 400
 WIDE_DEEP_QUEUE_CFG = DEEP_QUEUE_CFG.replace("flows_per_cluster = 4", "flows_per_cluster = 30") \
     .replace("queue_capacity = 200", "queue_capacity = 1000")
 
+# A 5 kbps channel takes 0.8192 s over one packet, some 33 mobility
+# steps, so a link that breaks in service leaves its flow unconnected
+# while its packet is still on the air; that packet's fate is the flow's
+# reach when the service ends, which mobility steps between discovery
+# epochs keep moving.
+IN_SERVICE_CFG = """\
+clusters = 1
+nodes_per_cluster = 6
+cluster_width = 150
+cluster_height = 150
+flows_per_cluster = 2
+radio_ranges = 60, 90
+node_speed_min = 20
+channel_capacity_kbps = 5
+tx_rate_kbps = 10
+discovery_interval_s = 1
+"""
+
 GOLDEN = {
     "default-sfv": (
         None,
@@ -232,6 +250,11 @@ GOLDEN = {
         WIDE_DEEP_QUEUE_CFG,
         ["--mode", "sfv-ranging", "--seed", "2", "--duration", "20"],
         "0e869fc7d59a916672c57100eaf2049be146eb384ff0dfac9959592fbe5cd917",
+    ),
+    "in-service-reach-ranging": (
+        IN_SERVICE_CFG,
+        ["--mode", "sfv-ranging", "--seed", "3", "--duration", "30"],
+        "7f5c1acf58c61bf048d3655210f07ce6777b9cfa5073514e9f7b400e979a4e8b",
     ),
 }
 

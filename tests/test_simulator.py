@@ -751,6 +751,53 @@ def test_each_step_examines_exactly_its_due_flows_in_flow_order(monkeypatch, see
         assert examined[-1] == [(f.src, f.dst) for f in engine.flows if not f.connected]
 
 
+@pytest.mark.parametrize("scenario, most", [
+    (rate_scenario(7, "sfv", 2000.0), 1500),
+    (replace(rate_scenario(3, "sfv-ranging", 600.0), channel_capacity_kbps=150.0), None),
+], ids=["desk-2000-sfv", "desk-slow-channel-ranging"])
+def test_an_idle_flow_waits_for_the_next_epoch_unless_its_packet_is_in_service(
+        monkeypatch, scenario, most):
+    # A flow that ends its examination neither connected nor handshaking is
+    # filed under the next discovery epoch, unless its own packet is still
+    # in service past the step, whose end reads its reach.  So off the
+    # epochs an idle flow is examined only after a step that left it
+    # handshaking or with its packet in service.
+    examined, waited, held = [], [], []
+    previous = {}  # flow index -> (handshaking, packet in service) after the last step
+    handle_mob = simulator._Engine._handle_mob
+
+    def mob(engine, step):
+        every = engine.epoch_every
+        due = list(engine.calendar.get(step, ()))
+        examined.extend(due)
+        if step % every:
+            for i in due:
+                flow = engine.flows[i]
+                if not (flow.connected or flow.handshaking):
+                    assert previous.get(i, (False, False)) != (False, False)
+                    held.append(previous[i][1])
+        handle_mob(engine, step)
+        previous.clear()
+        for i in due:
+            flow = engine.flows[i]
+            channel = engine.channels[flow.cluster]
+            in_service = channel.job is flow and channel.done > engine.now
+            previous[i] = (flow.handshaking, in_service)
+            if not (flow.connected or flow.handshaking):
+                filed = step + 1 if in_service else step - step % every + every
+                assert i in engine.calendar[filed]
+                waited.append(filed - step)
+
+    monkeypatch.setattr(simulator._Engine, "_handle_mob", mob)
+    engine = simulator._Engine(scenario, 60.0)
+    m = engine.execute()
+    assert m.delivered > 0 and max(waited) == engine.epoch_every > 1
+    if most is not None:  # examining idle flows on every step took 3,384 here
+        assert len(examined) < most
+    else:  # a 27 ms service outlasts the 25 ms step, so the exception fires
+        assert any(held)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_execute_drains_between_handlers_only_channels_that_hold_a_handshake(monkeypatch, seed):
     # Outside _wake and the run's end, execute runs a channel only when it
