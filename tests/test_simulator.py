@@ -6,6 +6,7 @@ import math
 import random
 import statistics
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -796,6 +797,38 @@ def test_an_idle_flow_waits_for_the_next_epoch_unless_its_packet_is_in_service(
         assert len(examined) < most
     else:  # a 27 ms service outlasts the 25 ms step, so the exception fires
         assert any(held)
+
+
+@pytest.mark.parametrize("ends_after_now, filed", [(False, 4), (True, 2)],
+                         ids=["ends-at-now", "ends-after-now"])
+def test_a_broken_links_packet_in_service_files_its_flow_by_its_end(ends_after_now, filed):
+    # Step 1 breaks the link while the flow's packet is in service.  A packet
+    # ending exactly at now ends after this step's handler and reads the reach
+    # it sets, so the idle flow waits for the next epoch (step 4); one ending
+    # after now reads a later step's reach, so the flow is due on step 2.
+    engine = simulator._Engine(desk(clusters=1, nodes_per_cluster=4, flows_per_cluster=1,
+                                    node_speed_min=0.0, node_speed_max=0.0), 1.0)
+    assert engine.epoch_every == 4
+    flow = engine.flows[0]
+    channel = engine.channels[0]
+    engine.now = engine.sc.mobility_step_s
+    flow.connected = flow.reach = True
+    flow.selected_range = engine._distance(flow.src, flow.dst) / 2
+    channel.job = flow
+    channel.done = engine.now + engine.data_time if ends_after_now else engine.now
+    engine.calendar = {1: [0]}
+    engine._handle_mob(1)
+    assert not (flow.connected or flow.reach or flow.handshaking)
+    assert channel.job is flow
+    assert engine.calendar == {filed: [0]}
+
+
+def test_nearest_returns_the_first_of_equally_near_candidates():
+    # (3, 4) and (4, 3) both lie exactly 5 from the origin.
+    engine = SimpleNamespace(x=[0.0, 3.0, 4.0], y=[0.0, 4.0, 3.0])
+    assert simulator._Engine._nearest(engine, 0, [1, 2]) == (1, 5.0)
+    assert simulator._Engine._nearest(engine, 0, [2, 1]) == (2, 5.0)
+    assert simulator._Engine._nearest(engine, 0, []) == (None, math.inf)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
